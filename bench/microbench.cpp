@@ -1,23 +1,19 @@
 // Host-side microbenchmarks (google-benchmark): planning cost (the
 // single-use overhead of Figs. 7/9/11), index fusion, the host reference
 // transpose, raw simulator throughput, and dedicated per-schema
-// execution hot-path benchmarks (BM_Execute*) used by the CI perf gate.
+// execution hot-path benchmarks (BM_Execute*) that scripts/ci.sh gates
+// with perfdiff against the archived pre-specialization baseline.
 //
 // Unlike the other bench targets this one has a custom main: it runs
-// the registered benchmarks through a capturing reporter, writes
-// results/BENCH_microbench.json (honouring TTLG_BENCH_JSON_DIR), and —
-// when TTLG_PERF_BASELINE points at a previously committed report —
-// compares the BM_Execute* hot-path cases against it, failing on a
-// regression beyond TTLG_PERF_TOLERANCE (default 20%).
-// TTLG_PERF_SCALE multiplies the measured times before the comparison
-// so CI can verify the gate actually trips on an injected slowdown.
+// the registered benchmarks through a capturing reporter and writes
+// results/BENCH_microbench.json (honouring TTLG_BENCH_JSON_DIR), with
+// each hot-path case paired with its specialization-ablation twin.
 #include <benchmark/benchmark.h>
 
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -282,12 +278,12 @@ void BM_RepeatedExecuteTelemetry(benchmark::State& state) {
 BENCHMARK(BM_RepeatedExecuteTelemetry)->Arg(0)->Arg(1)->Arg(2);
 
 // ---------------------------------------------------------------------------
-// Custom main: capture per-benchmark timings, emit the machine-readable
-// report, and (optionally) gate against a stored baseline.
+// Custom main: capture per-benchmark timings and emit the
+// machine-readable report.
 
-/// Cases whose regression fails the perf gate. The sub-µs cases
-/// (BM_IndexFusion et al.) are reported but not gated — at that scale
-/// 20% is indistinguishable from scheduler noise.
+/// The hot-path cases perfdiff gates (`--filter BM_Execute`). The
+/// sub-µs cases (BM_IndexFusion et al.) are reported but not gated — at
+/// that scale 20% is indistinguishable from scheduler noise.
 constexpr const char kGatePrefix[] = "BM_Execute";
 
 struct CaseTime {
@@ -314,31 +310,8 @@ class CaptureReporter : public benchmark::ConsoleReporter {
   }
 };
 
-double env_double(const char* name, double fallback) {
-  const char* s = std::getenv(name);
-  return (s && *s) ? std::atof(s) : fallback;
-}
-
 bool starts_with(const std::string& s, const char* prefix) {
   return s.rfind(prefix, 0) == 0;
-}
-
-/// name -> real_time_ns from a previously written BENCH_microbench.json.
-std::vector<std::pair<std::string, double>> load_baseline(
-    const std::string& path) {
-  std::ifstream f(path);
-  if (!f) throw Error("perf baseline not readable: " + path);
-  std::stringstream ss;
-  ss << f.rdbuf();
-  const telemetry::Json doc = telemetry::Json::parse(ss.str());
-  std::vector<std::pair<std::string, double>> out;
-  const telemetry::Json& cases = doc.at("cases");
-  for (std::size_t i = 0; i < cases.size(); ++i) {
-    const telemetry::Json& c = cases.at(i);
-    out.emplace_back(c.at("name").as_str(),
-                     c.at("real_time_ns").as_double());
-  }
-  return out;
 }
 
 }  // namespace
@@ -349,35 +322,11 @@ int main(int argc, char** argv) {
   CaptureReporter reporter;
   benchmark::RunSpecifiedBenchmarks(&reporter);
 
-  const double tolerance = env_double("TTLG_PERF_TOLERANCE", 0.20);
-  const double scale = env_double("TTLG_PERF_SCALE", 1.0);
-  const char* baseline_path = std::getenv("TTLG_PERF_BASELINE");
-
-  std::vector<std::pair<std::string, double>> baseline;
-  if (baseline_path && *baseline_path) {
-    try {
-      baseline = load_baseline(baseline_path);
-    } catch (const std::exception& e) {
-      // A broken baseline must fail the gate loudly, not pass silently.
-      std::cerr << "perf gate: " << e.what() << "\n";
-      return 2;
-    }
-  }
-  const auto find_baseline = [&](const std::string& name) -> const double* {
-    for (const auto& [n, t] : baseline)
-      if (n == name) return &t;
-    return nullptr;
-  };
-
   telemetry::Json doc = telemetry::Json::object();
   doc["bench"] = "microbench";
   doc["schema_version"] = 1;
   doc["config"] = telemetry::Json::object();
   doc["config"]["gate_prefix"] = kGatePrefix;
-  doc["config"]["tolerance"] = tolerance;
-  if (scale != 1.0) doc["config"]["injected_scale"] = scale;
-  if (baseline_path && *baseline_path)
-    doc["config"]["baseline"] = baseline_path;
 
   // Pair each gated hot-path case with its specialization-ablation twin
   // (BM_ExecuteX_Y <-> BM_AblateX_Y, the latter planned with
@@ -393,8 +342,6 @@ int main(int argc, char** argv) {
   };
 
   telemetry::Json jcases = telemetry::Json::array();
-  std::vector<std::string> regressions;
-  double min_hotpath_speedup = 0;
   double ablation_log_sum = 0;
   int ablation_n = 0;
   for (const CaseTime& c : reporter.cases) {
@@ -410,23 +357,6 @@ int main(int argc, char** argv) {
       ablation_log_sum += std::log(speedup);
       ++ablation_n;
     }
-    if (const double* base = find_baseline(c.name)) {
-      const double measured = c.real_time_ns * scale;
-      jc["baseline_real_time_ns"] = *base;
-      const double speedup = measured > 0 ? *base / measured : 0;
-      jc["speedup_vs_baseline"] = speedup;
-      if (starts_with(c.name, kGatePrefix)) {
-        if (min_hotpath_speedup == 0 || speedup < min_hotpath_speedup)
-          min_hotpath_speedup = speedup;
-        if (measured > *base * (1.0 + tolerance)) {
-          std::ostringstream msg;
-          msg << c.name << ": " << measured << " ns vs baseline " << *base
-              << " ns (" << (measured / *base - 1.0) * 100 << "% slower, "
-              << "tolerance " << tolerance * 100 << "%)";
-          regressions.push_back(msg.str());
-        }
-      }
-    }
     jcases.push_back(std::move(jc));
   }
   doc["cases"] = std::move(jcases);
@@ -436,31 +366,10 @@ int main(int argc, char** argv) {
     std::cout << "specialization ablation: geomean speedup vs generic "
               << geomean << "x over " << ablation_n << " hot path(s)\n";
   }
-  if (!baseline.empty() && min_hotpath_speedup > 0)
-    doc["min_hotpath_speedup_vs_baseline"] = min_hotpath_speedup;
-  if (!regressions.empty()) {
-    telemetry::Json jr = telemetry::Json::array();
-    for (const std::string& r : regressions) jr.push_back(r);
-    doc["regressions"] = std::move(jr);
-  }
-
   const char* dir = std::getenv("TTLG_BENCH_JSON_DIR");
   const std::string path =
       std::string((dir && *dir) ? dir : ".") + "/BENCH_microbench.json";
   std::ofstream(path) << doc.dump(2) << "\n";
   std::cout << "Wrote machine-readable report: " << path << "\n";
-
-  if (!baseline.empty()) {
-    if (min_hotpath_speedup > 0)
-      std::cout << "perf gate: min hot-path speedup vs baseline "
-                << min_hotpath_speedup << "x\n";
-    if (!regressions.empty()) {
-      std::cerr << "perf gate FAILED (" << regressions.size()
-                << " regression(s)):\n";
-      for (const std::string& r : regressions) std::cerr << "  " << r << "\n";
-      return 1;
-    }
-    std::cout << "perf gate: OK (tolerance " << tolerance * 100 << "%)\n";
-  }
   return 0;
 }

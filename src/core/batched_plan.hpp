@@ -5,8 +5,8 @@
 // batch member, which is exactly where TTLG's cheap-plan design pays.
 //
 // Execution is FUSED: batches of 2+ members on an undegraded plan fold
-// into one super-grid thread-pool dispatch (Plan::execute_batched /
-// sim::Device::launch_batched) instead of a per-member execute loop,
+// into one super-grid thread-pool dispatch (one Plan::launch descriptor
+// -> sim::Device::launch_members) instead of a per-member execute loop,
 // killing the per-launch dispatch overhead that dominates small
 // tensors. Per-member counters, times and outputs stay bit-identical
 // to the unfused loop at every thread count. A retryable fused failure
@@ -63,10 +63,7 @@ BatchedResult run_batched(
   res.per_member.reserve(batch.size());
   if (batch.size() >= 2 && !plan.degraded()) {
     try {
-      const auto runs = plan.execute_batched<T>(
-          std::span<const std::pair<sim::DeviceBuffer<T>,
-                                    sim::DeviceBuffer<T>>>(batch),
-          alpha, beta);
+      const auto runs = plan.launch<T>({batch, {}, {alpha, beta}});
       for (const sim::LaunchResult& run : runs) {
         res.total_time_s += run.time_s;
         res.counters += run.counters;

@@ -88,25 +88,6 @@ class GridDecoder {
     return e;
   }
 
-  /// Fixed-rank decode for the specialization dispatch table's
-  /// rank-bucketed kernel variants: same arithmetic as decode_fastdiv
-  /// with a compile-time trip count the compiler fully unrolls.
-  /// Requires slots() == Slots.
-  template <int Slots>
-  GridEntry decode_fixed(Index block_id) const {
-    GridEntry e;
-    Index rest = block_id;
-    for (int i = 0; i < Slots; ++i) {
-      const DivMod dm = divs_[static_cast<std::size_t>(i)].divmod(rest);
-      rest = dm.quot;
-      if (i == 0) e.idx0 = dm.rem;
-      if (i == 1) e.idx1 = dm.rem;
-      e.in_base += dm.rem * in_strides_[static_cast<std::size_t>(i)];
-      e.out_base += dm.rem * out_strides_[static_cast<std::size_t>(i)];
-    }
-    return e;
-  }
-
  private:
   std::vector<FastDiv> divs_;
   std::vector<Index> in_strides_;

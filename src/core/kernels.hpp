@@ -65,37 +65,6 @@ inline GridEntry decode_block(Ctx& blk, const GridDecoder& dec) {
 }
 
 // ---------------------------------------------------------------------
-// Specialization dispatch key (plan-time kernel specialization)
-// ---------------------------------------------------------------------
-
-/// Rank bucket for the specialization dispatch table: the number of
-/// grid-decode slots a specialized kernel variant is instantiated for.
-/// Programs whose decode rank exceeds the largest bucket still run, but
-/// through the generic stride-program interpreter (tier kStrideProgram)
-/// instead of a templated variant (see core/spec_exec.hpp).
-inline constexpr int kSpecMaxRankBucket = 4;
-
-/// Buckets 1..kSpecMaxRankBucket hold exact slot counts (slot count 0 —
-/// a single-block grid — shares bucket 1); larger ranks return 0, which
-/// no dispatch entry matches.
-inline int spec_rank_bucket(Index decode_slots) {
-  if (decode_slots > kSpecMaxRankBucket) return 0;
-  return decode_slots < 1 ? 1 : static_cast<int>(decode_slots);
-}
-
-/// Element-width leg of the dispatch key: index of width 1/2/4/8 in the
-/// instantiated variant set, -1 for widths with no variant.
-inline int spec_width_index(int elem_size) {
-  switch (elem_size) {
-    case 1: return 0;
-    case 2: return 1;
-    case 4: return 2;
-    case 8: return 3;
-    default: return -1;
-  }
-}
-
-// ---------------------------------------------------------------------
 // Orthogonal-Distinct (Alg. 2)
 // ---------------------------------------------------------------------
 template <class T>

@@ -45,11 +45,11 @@ inline std::function<std::int64_t(std::int64_t)> chunk_block_class(
 }
 
 // Full-grid LaunchConfig builders, one per kernel. Shared between the
-// generic launchers below and the specialized dispatch path
-// (core/spec_exec.hpp): both paths MUST present the identical config —
-// same grid, block geometry, shared size, kernel name, classifier —
-// so fault injection, sampling, windowing and telemetry behave the same
-// regardless of which kernel body runs.
+// launchers below and Plan's rung-1 dispatch, where the generic and the
+// specialized kernel bodies (core/spec_exec.hpp) MUST present the
+// identical config — same grid, block geometry, shared size, kernel
+// name, classifier — so fault injection, sampling, windowing and
+// telemetry behave the same regardless of which kernel body runs.
 inline sim::LaunchConfig make_od_cfg(const OdConfig& k, int elem_size) {
   sim::LaunchConfig cfg;
   cfg.elem_size = elem_size;
@@ -111,9 +111,8 @@ sim::LaunchResult launch_od(sim::Device& dev, const OdConfig& k,
                             sim::DeviceBuffer<T> in, sim::DeviceBuffer<T> out,
                             sim::DeviceBuffer<Index> in_offset,
                             sim::DeviceBuffer<Index> out_offset,
-                            Epilogue<T> epi = {}, LaunchWindow win = {}) {
-  sim::LaunchConfig cfg = make_od_cfg(k, sizeof(T));
-  win.apply(cfg);
+                            Epilogue<T> epi = {}) {
+  const sim::LaunchConfig cfg = make_od_cfg(k, sizeof(T));
   return dev.launch(OdKernel<T>{k, in, out, in_offset, out_offset, epi},
                     cfg);
 }
@@ -124,9 +123,8 @@ sim::LaunchResult launch_oa(sim::Device& dev, const OaConfig& k,
                             sim::DeviceBuffer<Index> input_offset,
                             sim::DeviceBuffer<Index> output_offset,
                             sim::DeviceBuffer<Index> sm_out_offset,
-                            Epilogue<T> epi = {}, LaunchWindow win = {}) {
-  sim::LaunchConfig cfg = make_oa_cfg(k, sizeof(T));
-  win.apply(cfg);
+                            Epilogue<T> epi = {}) {
+  const sim::LaunchConfig cfg = make_oa_cfg(k, sizeof(T));
   return dev.launch(
       OaKernel<T>{k, in, out, input_offset, output_offset, sm_out_offset,
                   epi},
@@ -137,9 +135,8 @@ template <class T>
 sim::LaunchResult launch_fvi_small(sim::Device& dev, const FviSmallConfig& k,
                                    sim::DeviceBuffer<T> in,
                                    sim::DeviceBuffer<T> out,
-                                   Epilogue<T> epi = {}, LaunchWindow win = {}) {
-  sim::LaunchConfig cfg = make_fvi_small_cfg(k, sizeof(T));
-  win.apply(cfg);
+                                   Epilogue<T> epi = {}) {
+  const sim::LaunchConfig cfg = make_fvi_small_cfg(k, sizeof(T));
   return dev.launch(FviSmallKernel<T>{k, in, out, epi}, cfg);
 }
 
@@ -147,9 +144,8 @@ template <class T>
 sim::LaunchResult launch_fvi_large(sim::Device& dev, const FviLargeConfig& k,
                                    sim::DeviceBuffer<T> in,
                                    sim::DeviceBuffer<T> out,
-                                   Epilogue<T> epi = {}, LaunchWindow win = {}) {
-  sim::LaunchConfig cfg = make_fvi_large_cfg(k, sizeof(T));
-  win.apply(cfg);
+                                   Epilogue<T> epi = {}) {
+  const sim::LaunchConfig cfg = make_fvi_large_cfg(k, sizeof(T));
   return dev.launch(FviLargeKernel<T>{k, in, out, epi}, cfg);
 }
 

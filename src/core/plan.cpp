@@ -217,11 +217,22 @@ void Plan::note_recovered() const {
   count_robustness("robustness.recovered");
 }
 
-void Plan::validate_exec_buffers(Index in_base, Index in_bytes,
-                                 bool in_backed, Index out_base,
-                                 Index out_bytes, bool out_backed) const {
+void Plan::validate_window(const LaunchWindow& win) const {
+  const Index nb = grid_blocks();
+  const Index count = win.count < 0 ? nb - win.offset : win.count;
+  TTLG_CHECK(win.offset >= 0 && count > 0 && win.offset + count <= nb,
+             "block window out of range for the planned grid");
+}
+
+void Plan::validate_member(Index in_base, Index in_size, bool in_backed,
+                           Index out_base, Index out_size,
+                           bool out_backed) const {
+  TTLG_CHECK(in_size == problem_.volume() && out_size == problem_.volume(),
+             "buffer sizes must equal the tensor volume");
   // The library is out-of-place only: every kernel scatters writes while
   // reads are still in flight, so any overlap corrupts data silently.
+  const Index in_bytes = in_size * problem_.elem_size;
+  const Index out_bytes = out_size * problem_.elem_size;
   TTLG_CHECK(!(in_base < out_base + out_bytes &&
                out_base < in_base + in_bytes),
              "input and output buffers alias (overlap); TTLG "
@@ -232,6 +243,11 @@ void Plan::validate_exec_buffers(Index in_base, Index in_bytes,
     TTLG_CHECK(in_backed && out_backed,
                "functional execution requires materialized device "
                "buffers (Device::alloc), got a null/virtual handle");
+}
+
+bool Plan::covers_grid(const LaunchWindow& win) const {
+  return win.offset == 0 && (win.count < 0 || win.count == grid_blocks()) &&
+         win.tex_capture == nullptr;
 }
 
 bool Plan::ensure_exec_oa_fallback() const {

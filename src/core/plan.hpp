@@ -46,6 +46,23 @@ const char* to_string(ExecPath path);
 /// `st` unchanged so call sites can stay expression-shaped.
 const Status& note_status_failure(const char* site, const Status& st);
 
+/// One (input, output) device buffer pair of a launch.
+template <class T>
+using MemberPair = std::pair<sim::DeviceBuffer<T>, sim::DeviceBuffer<T>>;
+
+/// Everything one rung-1 launch of a plan needs: the member buffer
+/// pairs (1..N, each computing out = alpha * permute(in) + beta * out),
+/// the block window of the planned grid that every member runs, and
+/// the epilogue. Plan::execute builds a one-member whole-grid
+/// descriptor; fused batches pass N members, shards one member and a
+/// window.
+template <class T>
+struct LaunchDescriptor {
+  std::span<const MemberPair<T>> members;
+  LaunchWindow window{};
+  Epilogue<T> epi{};
+};
+
 class Plan {
  public:
   Plan() = default;
@@ -67,8 +84,8 @@ class Plan {
   const KernelSelection& selection() const { return sel_; }
   /// Model-predicted kernel time (the §V queryable estimate).
   double predicted_time_s() const { return sel_.predicted_s; }
-  /// Grid size of the planned (rung-1) kernel — the block-id space that
-  /// execute_window() windows over. Valid plans only.
+  /// Grid size of the planned (rung-1) kernel — the block-id space a
+  /// LaunchDescriptor's window ranges over. Valid plans only.
   Index grid_blocks() const;
   /// Host wall-clock spent planning (selection + offset upload).
   double plan_wall_s() const { return plan_wall_s_; }
@@ -127,18 +144,10 @@ class Plan {
   template <class T>
   sim::LaunchResult execute(sim::DeviceBuffer<T> in, sim::DeviceBuffer<T> out,
                             T alpha = T{1}, T beta = T{0}) const {
-    TTLG_CHECK(valid(), "executing an empty plan");
-    TTLG_CHECK(static_cast<int>(sizeof(T)) == problem_.elem_size,
-               "element type does not match the planned element size");
-    TTLG_CHECK(in.size() == problem_.volume() &&
-                   out.size() == problem_.volume(),
-               "buffer sizes must equal the tensor volume");
-    validate_exec_buffers(in.base_addr(),
-                          in.size() * static_cast<Index>(sizeof(T)),
-                          in.valid(), out.base_addr(),
-                          out.size() * static_cast<Index>(sizeof(T)),
-                          out.valid());
-    const Epilogue<T> epi{alpha, beta};
+    const MemberPair<T> member{in, out};
+    const LaunchDescriptor<T> desc{{&member, 1}, {}, {alpha, beta}};
+    validate_launch(desc);
+    const Epilogue<T>& epi = desc.epi;
     sim::LaunchResult res;
 
     if (path_ == ExecPath::kNaive) {
@@ -151,9 +160,8 @@ class Plan {
     // Rung 1: the planned kernel, with bounded retry.
     for (int attempt = 0;;) {
       try {
-        res = launch_planned<T>(in, out, epi);
+        launch_planned(desc, {&res, 1});
         last_path_ = path_;
-        record_execution(res, /*planned_kernel=*/true);
         return res;
       } catch (const Error& e) {
         if (!fallback_enabled_ || !retryable(e.code())) throw;
@@ -213,100 +221,29 @@ class Plan {
     return res;
   }
 
-  /// Run a contiguous block-id window [offset, offset + count) of the
-  /// PLANNED kernel's grid: the shard primitive. Block ids stay
+  /// Rung-1 launch through one descriptor: the planned kernel over every
+  /// member pair in ONE engine dispatch (sim::Device::launch_members),
+  /// restricted to the descriptor's block window. Block ids stay
   /// absolute, so N disjoint windows covering [0, grid_blocks())
-  /// together perform exactly the blocks of one full execute() — the
-  /// invariant the sharded executor's counter roll-up rests on. Unlike
-  /// execute(), a window runs rung 1 only (no degradation ladder: the
-  /// OA/naive fallback grids do not map onto planned-grid windows —
-  /// shard-level failover owns retries), and degraded plans are
-  /// rejected as kUnsupported. `win.tex_capture` records texture
-  /// accesses for cross-window replay instead of counting local misses.
+  /// together perform exactly the blocks of one full launch, and
+  /// per-member results (outputs, counters, simulated times) are
+  /// bit-identical to individual execute() calls at every thread count
+  /// — the primitives fused batches (run_batched, the server coalescer)
+  /// and shards (shard::ShardedExecutor) rest on. There is no
+  /// degradation ladder here: the OA/naive fallback grids do not map
+  /// onto planned-grid windows, so degraded plans are rejected as
+  /// kUnsupported (retryable) and the caller owns recovery (the
+  /// per-member execute() loop, shard failover). `window.tex_capture`
+  /// records texture accesses for cross-window replay instead of
+  /// counting local misses (one-member descriptors only).
   template <class T>
-  sim::LaunchResult execute_window(sim::DeviceBuffer<T> in,
-                                   sim::DeviceBuffer<T> out, LaunchWindow win,
-                                   T alpha = T{1}, T beta = T{0}) const {
-    TTLG_CHECK(valid(), "executing an empty plan");
+  std::vector<sim::LaunchResult> launch(const LaunchDescriptor<T>& d) const {
+    validate_launch(d);
     TTLG_CHECK_CODE(path_ == ExecPath::kPlanned, ErrorCode::kUnsupported,
-                    "windowed execution requires an undegraded plan");
-    TTLG_CHECK(static_cast<int>(sizeof(T)) == problem_.elem_size,
-               "element type does not match the planned element size");
-    TTLG_CHECK(in.size() == problem_.volume() &&
-                   out.size() == problem_.volume(),
-               "buffer sizes must equal the tensor volume");
-    const Index nb = grid_blocks();
-    if (win.count < 0) win.count = nb - win.offset;
-    TTLG_CHECK(win.offset >= 0 && win.count > 0 &&
-                   win.offset + win.count <= nb,
-               "block window out of range for the planned grid");
-    validate_exec_buffers(in.base_addr(),
-                          in.size() * static_cast<Index>(sizeof(T)),
-                          in.valid(), out.base_addr(),
-                          out.size() * static_cast<Index>(sizeof(T)),
-                          out.valid());
-    sim::LaunchResult res =
-        launch_planned<T>(in, out, Epilogue<T>{alpha, beta}, win);
+                    "descriptor launches require an undegraded plan");
+    std::vector<sim::LaunchResult> res(d.members.size());
+    launch_planned(d, std::span<sim::LaunchResult>(res));
     last_path_ = path_;
-    // No record_execution: the model predicted the FULL grid, so a
-    // window would pollute the accuracy residuals.
-    return res;
-  }
-
-  /// Fused batched execution: the planned kernel applied to every
-  /// (in, out) member pair through ONE super-grid thread-pool dispatch
-  /// (sim::Device::launch_batched) instead of members.size() separate
-  /// executes — the launch-overhead fix for small repeated tensors.
-  /// Per-member LaunchResults (counters, times, outputs) are
-  /// bit-identical to individual execute() calls at every thread
-  /// count. Like execute_window this is a rung-1-only primitive:
-  /// degraded plans are rejected as kUnsupported (retryable), and the
-  /// caller — the BatchedPlan engine or the server coalescer — owns
-  /// the fallback to the per-member loop with its full ladder.
-  template <class T>
-  std::vector<sim::LaunchResult> execute_batched(
-      std::span<const std::pair<sim::DeviceBuffer<T>, sim::DeviceBuffer<T>>>
-          members,
-      T alpha = T{1}, T beta = T{0}) const {
-    TTLG_CHECK(valid(), "executing an empty plan");
-    TTLG_CHECK(!members.empty(), "empty batch");
-    TTLG_CHECK_CODE(path_ == ExecPath::kPlanned, ErrorCode::kUnsupported,
-                    "fused batched execution requires an undegraded plan");
-    TTLG_CHECK(static_cast<int>(sizeof(T)) == problem_.elem_size,
-               "element type does not match the planned element size");
-    for (const auto& [in, out] : members) {
-      TTLG_CHECK(in.size() == problem_.volume() &&
-                     out.size() == problem_.volume(),
-                 "buffer sizes must equal the tensor volume");
-      validate_exec_buffers(in.base_addr(),
-                            in.size() * static_cast<Index>(sizeof(T)),
-                            in.valid(), out.base_addr(),
-                            out.size() * static_cast<Index>(sizeof(T)),
-                            out.valid());
-    }
-    const Epilogue<T> epi{alpha, beta};
-    std::vector<sim::LaunchResult> res;
-    if (spec_ && epi.is_identity()) {
-      res = launch_specialized_batched<T>(*dev_, *spec_, sel_, members);
-    } else {
-      res = launch_generic_batched<T>(members, epi);
-    }
-    last_path_ = path_;
-    for (const sim::LaunchResult& r : res)
-      record_execution(r, /*planned_kernel=*/true);
-    return res;
-  }
-
-  template <class T>
-  Expected<sim::LaunchResult> try_execute_window(sim::DeviceBuffer<T> in,
-                                                 sim::DeviceBuffer<T> out,
-                                                 LaunchWindow win,
-                                                 T alpha = T{1},
-                                                 T beta = T{0}) const {
-    auto res =
-        capture([&] { return execute_window<T>(in, out, win, alpha, beta); });
-    if (!res.has_value())
-      note_status_failure("plan.execute_window", res.status());
     return res;
   }
 
@@ -316,83 +253,119 @@ class Plan {
   void release();
   void move_from(Plan& o);
 
-  /// Dispatch the model-selected kernel (rung 1 of the ladder).
+  /// The one buffer validation of every entry point: element width,
+  /// member count and sizes, block window, out-of-place and
+  /// materialized buffers.
   template <class T>
-  sim::LaunchResult launch_planned(sim::DeviceBuffer<T> in,
-                                   sim::DeviceBuffer<T> out,
-                                   const Epilogue<T>& epi,
-                                   LaunchWindow win = {}) const {
-    // Specialized fast path: bit-identical to the generic kernels in
-    // outputs, counters and simulated times (enforced at build time by
-    // the program verifier). Epilogues read/scale data the compiled
-    // copy tables move verbatim, so only identity launches qualify.
-    if (spec_ && epi.is_identity()) {
-      return launch_specialized<T>(*dev_, *spec_, sel_, in, out, win);
-    }
-    switch (sel_.schema) {
-      case Schema::kCopy:
-      case Schema::kFviMatchLarge:
-        return launch_fvi_large<T>(*dev_, sel_.fvi_large, in, out, epi, win);
-      case Schema::kFviMatchSmall:
-        return launch_fvi_small<T>(*dev_, sel_.fvi_small, in, out, epi, win);
-      case Schema::kOrthogonalDistinct:
-        return launch_od<T>(*dev_, sel_.od, in, out, tex0_, tex1_, epi, win);
-      case Schema::kOrthogonalArbitrary:
-        return launch_oa<T>(*dev_, sel_.oa, in, out, tex0_, tex1_, tex2_,
-                            epi, win);
-    }
-    TTLG_ASSERT(false, "unreachable schema");
+  void validate_launch(const LaunchDescriptor<T>& d) const {
+    TTLG_CHECK(valid(), "executing an empty plan");
+    TTLG_CHECK(!d.members.empty(), "empty batch");
+    TTLG_CHECK(static_cast<int>(sizeof(T)) == problem_.elem_size,
+               "element type does not match the planned element size");
+    validate_window(d.window);
+    for (const auto& [in, out] : d.members)
+      validate_member(in.base_addr(), in.size(), in.valid(), out.base_addr(),
+                      out.size(), out.valid());
   }
 
-  /// Generic-kernel batched dispatch (the non-specialized half of
-  /// execute_batched): the schema's kernel body per member, launch
-  /// config from the shared make_*_cfg builders — identical geometry
-  /// to the single-member launches it replaces.
+  /// Rung 1 of the ladder — the model-selected kernel — over every
+  /// member of `d`: the one schema switch, building the schema's config,
+  /// decoder and generic kernel for dispatch().
   template <class T>
-  std::vector<sim::LaunchResult> launch_generic_batched(
-      std::span<const std::pair<sim::DeviceBuffer<T>, sim::DeviceBuffer<T>>>
-          members,
-      const Epilogue<T>& epi) const {
+  void launch_planned(const LaunchDescriptor<T>& d,
+                      std::span<sim::LaunchResult> results) const {
     const int es = problem_.elem_size;
-    const std::int64_t n = static_cast<std::int64_t>(members.size());
+    const Epilogue<T>& epi = d.epi;
+    using Buf = sim::DeviceBuffer<T>;
     switch (sel_.schema) {
       case Schema::kCopy:
       case Schema::kFviMatchLarge:
-        return dev_->launch_batched(
-            [&](std::int64_t m) {
-              const auto& [in, out] = members[static_cast<std::size_t>(m)];
-              return FviLargeKernel<T>{sel_.fvi_large, in, out, epi};
-            },
-            make_fvi_large_cfg(sel_.fvi_large, es), n);
+        dispatch(d, results, make_fvi_large_cfg(sel_.fvi_large, es),
+                 sel_.fvi_large.decoder, [&](Buf in, Buf out) {
+                   return FviLargeKernel<T>{sel_.fvi_large, in, out, epi};
+                 });
+        break;
       case Schema::kFviMatchSmall:
-        return dev_->launch_batched(
-            [&](std::int64_t m) {
-              const auto& [in, out] = members[static_cast<std::size_t>(m)];
-              return FviSmallKernel<T>{sel_.fvi_small, in, out, epi};
-            },
-            make_fvi_small_cfg(sel_.fvi_small, es), n);
+        dispatch(d, results, make_fvi_small_cfg(sel_.fvi_small, es),
+                 sel_.fvi_small.decoder, [&](Buf in, Buf out) {
+                   return FviSmallKernel<T>{sel_.fvi_small, in, out, epi};
+                 });
+        break;
       case Schema::kOrthogonalDistinct:
-        return dev_->launch_batched(
-            [&](std::int64_t m) {
-              const auto& [in, out] = members[static_cast<std::size_t>(m)];
-              return OdKernel<T>{sel_.od, in, out, tex0_, tex1_, epi};
-            },
-            make_od_cfg(sel_.od, es), n);
+        dispatch(d, results, make_od_cfg(sel_.od, es), sel_.od.decoder,
+                 [&](Buf in, Buf out) {
+                   return OdKernel<T>{sel_.od, in, out, tex0_, tex1_, epi};
+                 });
+        break;
       case Schema::kOrthogonalArbitrary:
-        return dev_->launch_batched(
-            [&](std::int64_t m) {
-              const auto& [in, out] = members[static_cast<std::size_t>(m)];
-              return OaKernel<T>{sel_.oa, in, out, tex0_, tex1_, tex2_, epi};
-            },
-            make_oa_cfg(sel_.oa, es), n);
+        dispatch(d, results, make_oa_cfg(sel_.oa, es), sel_.oa.decoder,
+                 [&](Buf in, Buf out) {
+                   return OaKernel<T>{sel_.oa,  in,    out, tex0_,
+                                      tex1_,    tex2_, epi};
+                 });
+        break;
     }
-    TTLG_ASSERT(false, "unreachable schema");
+    // The model predicted the whole grid's time: windows, and captures
+    // that defer texture misses to the caller, would pollute the
+    // accuracy residuals.
+    if (covers_grid(d.window))
+      for (const sim::LaunchResult& r : results)
+        record_execution(r, /*planned_kernel=*/true);
   }
 
-  /// Out-of-place + materialization guards shared by all rungs.
-  void validate_exec_buffers(Index in_base, Index in_bytes, bool in_backed,
-                             Index out_base, Index out_bytes,
-                             bool out_backed) const;
+  /// One engine call for the schema chosen by launch_planned: the
+  /// compiled stride program when the plan carries one, else the
+  /// generic kernel `make_generic(in, out)`, per member. The specialized
+  /// body is bit-identical to the generic kernels in outputs, counters
+  /// and simulated times (enforced at build time by the program
+  /// verifier) and runs under the identical LaunchConfig; epilogues
+  /// read/scale data the compiled copy tables move verbatim, so only
+  /// identity launches qualify.
+  template <class T, class MakeGeneric>
+  void dispatch(const LaunchDescriptor<T>& d,
+                std::span<sim::LaunchResult> results, sim::LaunchConfig cfg,
+                const GridDecoder& dec, const MakeGeneric& make_generic) const {
+    d.window.apply(cfg);
+    const auto member = [&d](std::int64_t m) -> const MemberPair<T>& {
+      return d.members[static_cast<std::size_t>(m)];
+    };
+    if (!spec_ || !d.epi.is_identity()) {
+      dev_->launch_members(
+          [&](std::int64_t m) {
+            return make_generic(member(m).first, member(m).second);
+          },
+          cfg, results);
+      return;
+    }
+    TTLG_ASSERT(spec_->elem_size == static_cast<int>(sizeof(T)),
+                "stride program element width mismatch");
+    const SpecProgram* prog = spec_.get();
+    if (prog->tier == SpecTier::kAffineBulk) {
+      dev_->launch_members(
+          [&](std::int64_t m) {
+            return SpecializedKernel<T, true>{prog, &dec, member(m).first,
+                                              member(m).second};
+          },
+          cfg, results);
+    } else {
+      dev_->launch_members(
+          [&](std::int64_t m) {
+            return SpecializedKernel<T, false>{prog, &dec, member(m).first,
+                                               member(m).second};
+          },
+          cfg, results);
+    }
+  }
+
+  /// validate_launch's non-template halves: the window lies inside the
+  /// planned grid; one member's buffers hold the tensor volume, do not
+  /// alias and, in functional mode, are materialized.
+  void validate_window(const LaunchWindow& win) const;
+  void validate_member(Index in_base, Index in_size, bool in_backed,
+                       Index out_base, Index out_size, bool out_backed) const;
+  /// True when `win` is the whole planned grid with texture misses
+  /// counted in place.
+  bool covers_grid(const LaunchWindow& win) const;
   /// Lazily build the generic-OA fallback config and upload its offset
   /// arrays; false when infeasible or when the upload itself hits a
   /// retryable failure (the ladder then proceeds to naive).

@@ -17,8 +17,11 @@ constexpr const char* kMagic = "ttlg-plan";
 // rejected (they carry no corruption protection). Version 3 appended
 // the specialization-tier record (core/stride_program.hpp): the tier is
 // persisted rather than re-decided so a loaded plan provably executes
-// on the same path it was planned (and benchmarked) on.
-constexpr int kVersion = 3;
+// on the same path it was planned (and benchmarked) on. Version 4
+// retired the rank-pinned "templated" tier (stored value 2): those
+// plans now run at stride_program or affine_bulk, so version-3 files
+// describe a tier this library no longer has.
+constexpr int kVersion = 4;
 
 /// FNV-1a 64-bit over the serialized payload. Not cryptographic — it
 /// guards against truncation, bit flips and partial writes, not
@@ -132,8 +135,9 @@ std::pair<TransposeProblem, KernelSelection> parse_body(std::istream& is,
                   ErrorCode::kDataLoss,
                   "plan file specialization tier is unreadable");
   TTLG_CHECK_CODE(
-      *spec_tier >= static_cast<int>(SpecTier::kGeneric) &&
-          *spec_tier <= static_cast<int>(SpecTier::kAffineBulk),
+      *spec_tier == static_cast<int>(SpecTier::kGeneric) ||
+          *spec_tier == static_cast<int>(SpecTier::kStrideProgram) ||
+          *spec_tier == static_cast<int>(SpecTier::kAffineBulk),
       ErrorCode::kDataLoss,
       "plan file specialization tier out of range: " +
           std::to_string(*spec_tier));
@@ -208,8 +212,8 @@ Plan load_plan(sim::Device& dev, std::istream& is) {
         version == kVersion, ErrorCode::kUnsupported,
         "unsupported plan file version " + std::to_string(version) +
             " (this library reads version " + std::to_string(kVersion) +
-            "; version 3 added the specialization tier — re-save the "
-            "plan)");
+            "; version 4 retired the templated specialization tier — "
+            "re-save the plan)");
   }
 
   // Verify the trailing checksum before trusting any of the body.

@@ -37,11 +37,11 @@ struct PlanOptions {
   std::optional<std::string> faults;
   /// Plan-time kernel specialization (core/stride_program.hpp): compile
   /// each kernel's inner address/copy loops into a per-plan stride
-  /// program and execute through width-templated variants / the affine
-  /// whole-tile path. Bit-identical to the generic path in outputs,
-  /// counters and simulated times; plans fall back to generic whenever
-  /// the program would not amortize or fails verification. ANDed with
-  /// the TTLG_SPECIALIZE env switch ("0" disables globally).
+  /// program and execute it per block (per-access closed forms, or the
+  /// affine whole-tile path). Bit-identical to the generic path in
+  /// outputs, counters and simulated times; plans fall back to generic
+  /// whenever the program would not amortize or fails verification.
+  /// ANDed with the TTLG_SPECIALIZE env switch ("0" disables globally).
   bool specialize = true;
   /// Host threads for measurement-based planning (make_plan_measured):
   /// candidates are measured concurrently on independent device

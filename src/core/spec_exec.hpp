@@ -5,8 +5,7 @@
 // name, classifier, window, texture flag), so fault injection, sampled
 // counting, windowing, parallel chunking and telemetry all behave the
 // same; only the per-block body changes. Per block it:
-//   1. decodes the GridEntry (block table, fixed-rank unrolled FastDiv
-//      for the templated variants, or dynamic FastDiv),
+//   1. decodes the GridEntry (block table or FastDiv),
 //   2. bulk-charges the class's block-invariant counter delta,
 //   3. charges global transactions — per recorded access in closed form,
 //      or, on the affine tier, one phase-table lookup per direction for
@@ -15,39 +14,18 @@
 //   5. in functional mode, runs the fused copy table.
 #pragma once
 
-#include <array>
-#include <span>
-#include <utility>
-#include <vector>
+#include <cstdint>
 
-#include "core/launch_helpers.hpp"
 #include "core/stride_program.hpp"
+#include "gpusim/block_ctx.hpp"
 
 namespace ttlg {
 
-inline const GridDecoder& spec_decoder_for(const KernelSelection& sel) {
-  switch (sel.schema) {
-    case Schema::kFviMatchSmall: return sel.fvi_small.decoder;
-    case Schema::kOrthogonalDistinct: return sel.od.decoder;
-    case Schema::kOrthogonalArbitrary: return sel.oa.decoder;
-    default: return sel.fvi_large.decoder;  // kCopy / kFviMatchLarge
-  }
-}
-
-inline sim::LaunchConfig spec_launch_config(const KernelSelection& sel,
-                                            int elem_size) {
-  switch (sel.schema) {
-    case Schema::kFviMatchSmall: return make_fvi_small_cfg(sel.fvi_small, elem_size);
-    case Schema::kOrthogonalDistinct: return make_od_cfg(sel.od, elem_size);
-    case Schema::kOrthogonalArbitrary: return make_oa_cfg(sel.oa, elem_size);
-    default: return make_fvi_large_cfg(sel.fvi_large, elem_size);
-  }
-}
-
-/// One width-templated specialized kernel variant. Slots > 0 pins the
-/// decode rank at compile time (the dispatch table's rank bucket);
-/// Slots == 0 is the dynamic-rank stride-program interpreter.
-template <class T, bool Affine, int Slots>
+/// The specialized kernel body: the compiled program of the block's
+/// class, replayed for one element width. Affine selects whole-tile
+/// phase-table charging (tier kAffineBulk) over per-access closed forms
+/// (tier kStrideProgram).
+template <class T, bool Affine>
 struct SpecializedKernel {
   const SpecProgram* prog;
   const GridDecoder* dec;
@@ -55,14 +33,7 @@ struct SpecializedKernel {
   sim::DeviceBuffer<T> out;
 
   void operator()(sim::BlockCtx& blk) const {
-    GridEntry e;
-    if (dec->has_table()) {
-      e = dec->decode(blk.block_id());
-    } else if constexpr (Slots > 0) {
-      e = dec->template decode_fixed<Slots>(blk.block_id());
-    } else {
-      e = dec->decode_fastdiv(blk.block_id());
-    }
+    const GridEntry e = dec->decode(blk.block_id());
     const ClassProgram& cp = prog->cls[prog->class_of(e)];
     blk.bulk_charge(cp.const_delta);
 
@@ -123,171 +94,5 @@ struct SpecializedKernel {
     }
   }
 };
-
-template <class T>
-using SpecLaunchFn = sim::LaunchResult (*)(sim::Device&, const SpecProgram&,
-                                           const GridDecoder&,
-                                           const sim::LaunchConfig&,
-                                           sim::DeviceBuffer<T>,
-                                           sim::DeviceBuffer<T>);
-
-template <class T, bool Affine, int Slots>
-sim::LaunchResult run_spec_variant(sim::Device& dev, const SpecProgram& prog,
-                                   const GridDecoder& dec,
-                                   const sim::LaunchConfig& cfg,
-                                   sim::DeviceBuffer<T> in,
-                                   sim::DeviceBuffer<T> out) {
-  sim::LaunchConfig c = cfg;
-  return dev.launch(SpecializedKernel<T, Affine, Slots>{&prog, &dec, in, out},
-                    c);
-}
-
-/// Per-member (input, output) buffer table of a fused batched launch.
-template <class T>
-using SpecMemberSpan =
-    std::span<const std::pair<sim::DeviceBuffer<T>, sim::DeviceBuffer<T>>>;
-
-template <class T>
-using SpecBatchedFn = std::vector<sim::LaunchResult> (*)(
-    sim::Device&, const SpecProgram&, const GridDecoder&,
-    const sim::LaunchConfig&, SpecMemberSpan<T>);
-
-/// Batched twin of run_spec_variant: the same width-templated kernel
-/// body per member, folded into one super-grid dispatch
-/// (Device::launch_batched). The kernel factory rebinds only the
-/// member's buffer pair — program and decoder are batch-invariant.
-template <class T, bool Affine, int Slots>
-std::vector<sim::LaunchResult> run_spec_variant_batched(
-    sim::Device& dev, const SpecProgram& prog, const GridDecoder& dec,
-    const sim::LaunchConfig& cfg, SpecMemberSpan<T> members) {
-  return dev.launch_batched(
-      [&](std::int64_t m) {
-        const auto& [in, out] = members[static_cast<std::size_t>(m)];
-        return SpecializedKernel<T, Affine, Slots>{&prog, &dec, in, out};
-      },
-      cfg, static_cast<std::int64_t>(members.size()));
-}
-
-/// One dispatch-table row: the pre-instantiated launch entry points for
-/// a (schema, rank bucket, element width) key — the stride-program
-/// variant (tier kTemplated) and the affine whole-tile variant (tier
-/// kAffineBulk), each in single-launch and fused-batched form.
-template <class T>
-struct SpecDispatchRow {
-  Schema schema;
-  int rank_bucket;
-  int width;
-  SpecLaunchFn<T> stride_fn;
-  SpecLaunchFn<T> affine_fn;
-  SpecBatchedFn<T> stride_batched;
-  SpecBatchedFn<T> affine_batched;
-};
-
-/// Plan-time-resolved dispatch table. Compiled programs are
-/// schema-neutral (the schema's behavior is baked into the program), so
-/// rows of one rank bucket share entry points; the schema key exists so
-/// every planned kernel resolves through an explicit table entry and
-/// unexpected keys fail loudly (nullptr -> generic fallback).
-template <class T>
-const SpecDispatchRow<T>* find_spec_dispatch(Schema schema, int rank_bucket,
-                                             int width) {
-  static const std::array<SpecDispatchRow<T>, 20> table = [] {
-    constexpr Schema kSchemas[5] = {
-        Schema::kCopy, Schema::kFviMatchLarge, Schema::kFviMatchSmall,
-        Schema::kOrthogonalDistinct, Schema::kOrthogonalArbitrary};
-    constexpr SpecLaunchFn<T> kStrideFns[kSpecMaxRankBucket] = {
-        &run_spec_variant<T, false, 1>, &run_spec_variant<T, false, 2>,
-        &run_spec_variant<T, false, 3>, &run_spec_variant<T, false, 4>};
-    constexpr SpecLaunchFn<T> kAffineFns[kSpecMaxRankBucket] = {
-        &run_spec_variant<T, true, 1>, &run_spec_variant<T, true, 2>,
-        &run_spec_variant<T, true, 3>, &run_spec_variant<T, true, 4>};
-    constexpr SpecBatchedFn<T> kStrideBatchedFns[kSpecMaxRankBucket] = {
-        &run_spec_variant_batched<T, false, 1>,
-        &run_spec_variant_batched<T, false, 2>,
-        &run_spec_variant_batched<T, false, 3>,
-        &run_spec_variant_batched<T, false, 4>};
-    constexpr SpecBatchedFn<T> kAffineBatchedFns[kSpecMaxRankBucket] = {
-        &run_spec_variant_batched<T, true, 1>,
-        &run_spec_variant_batched<T, true, 2>,
-        &run_spec_variant_batched<T, true, 3>,
-        &run_spec_variant_batched<T, true, 4>};
-    std::array<SpecDispatchRow<T>, 20> t{};
-    std::size_t i = 0;
-    for (Schema s : kSchemas) {
-      for (int b = 1; b <= kSpecMaxRankBucket; ++b) {
-        t[i++] = SpecDispatchRow<T>{s, b, static_cast<int>(sizeof(T)),
-                                    kStrideFns[b - 1], kAffineFns[b - 1],
-                                    kStrideBatchedFns[b - 1],
-                                    kAffineBatchedFns[b - 1]};
-      }
-    }
-    return t;
-  }();
-  for (const SpecDispatchRow<T>& row : table) {
-    if (row.schema == schema && row.rank_bucket == rank_bucket &&
-        row.width == width)
-      return &row;
-  }
-  return nullptr;
-}
-
-/// Launch a compiled program with the same config the generic kernel
-/// would use. The decoder is resolved from the CURRENT selection (it
-/// moves with the plan; the program stores no pointers into it).
-template <class T>
-sim::LaunchResult launch_specialized(sim::Device& dev, const SpecProgram& prog,
-                                     const KernelSelection& sel,
-                                     sim::DeviceBuffer<T> in,
-                                     sim::DeviceBuffer<T> out,
-                                     LaunchWindow win = {}) {
-  TTLG_ASSERT(prog.tier != SpecTier::kGeneric,
-              "generic plans carry no stride program");
-  TTLG_ASSERT(prog.elem_size == static_cast<int>(sizeof(T)),
-              "stride program element width mismatch");
-  sim::LaunchConfig cfg = spec_launch_config(sel, static_cast<int>(sizeof(T)));
-  win.apply(cfg);
-  const GridDecoder& dec = spec_decoder_for(sel);
-  if (prog.tier == SpecTier::kStrideProgram || dec.slots() != spec_rank_bucket(dec.slots())) {
-    return run_spec_variant<T, false, 0>(dev, prog, dec, cfg, in, out);
-  }
-  const SpecDispatchRow<T>* row = find_spec_dispatch<T>(
-      sel.schema, spec_rank_bucket(dec.slots()), static_cast<int>(sizeof(T)));
-  if (row == nullptr) {
-    return run_spec_variant<T, false, 0>(dev, prog, dec, cfg, in, out);
-  }
-  return (prog.tier == SpecTier::kAffineBulk ? row->affine_fn
-                                             : row->stride_fn)(
-      dev, prog, dec, cfg, in, out);
-}
-
-/// Fused batched twin of launch_specialized: the same tier/bucket
-/// dispatch, resolving to the batched entry points. No window — a
-/// fused launch always covers whole member grids.
-template <class T>
-std::vector<sim::LaunchResult> launch_specialized_batched(
-    sim::Device& dev, const SpecProgram& prog, const KernelSelection& sel,
-    SpecMemberSpan<T> members) {
-  TTLG_ASSERT(prog.tier != SpecTier::kGeneric,
-              "generic plans carry no stride program");
-  TTLG_ASSERT(prog.elem_size == static_cast<int>(sizeof(T)),
-              "stride program element width mismatch");
-  const sim::LaunchConfig cfg =
-      spec_launch_config(sel, static_cast<int>(sizeof(T)));
-  const GridDecoder& dec = spec_decoder_for(sel);
-  if (prog.tier == SpecTier::kStrideProgram ||
-      dec.slots() != spec_rank_bucket(dec.slots())) {
-    return run_spec_variant_batched<T, false, 0>(dev, prog, dec, cfg,
-                                                 members);
-  }
-  const SpecDispatchRow<T>* row = find_spec_dispatch<T>(
-      sel.schema, spec_rank_bucket(dec.slots()), static_cast<int>(sizeof(T)));
-  if (row == nullptr) {
-    return run_spec_variant_batched<T, false, 0>(dev, prog, dec, cfg,
-                                                 members);
-  }
-  return (prog.tier == SpecTier::kAffineBulk ? row->affine_batched
-                                             : row->stride_batched)(
-      dev, prog, dec, cfg, members);
-}
 
 }  // namespace ttlg

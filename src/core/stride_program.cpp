@@ -11,7 +11,6 @@
 #include "common/error.hpp"
 #include "core/analysis.hpp"
 #include "core/kernels.hpp"
-#include "core/launch_helpers.hpp"
 #include "gpusim/block_ctx.hpp"
 #include "gpusim/coalescing.hpp"
 #include "telemetry/metrics.hpp"
@@ -22,7 +21,6 @@ const char* to_string(SpecTier tier) {
   switch (tier) {
     case SpecTier::kGeneric: return "generic";
     case SpecTier::kStrideProgram: return "stride_program";
-    case SpecTier::kTemplated: return "templated";
     case SpecTier::kAffineBulk: return "affine_bulk";
   }
   return "unknown";
@@ -650,13 +648,8 @@ std::shared_ptr<const SpecProgram> build_impl(const SpecBuildInput& bi) {
     }
   }
 
-  if (dec.slots() > kSpecMaxRankBucket) {
-    prog->tier = SpecTier::kStrideProgram;
-  } else if (all_affine && txn_pow2) {
-    prog->tier = SpecTier::kAffineBulk;
-  } else {
-    prog->tier = SpecTier::kTemplated;
-  }
+  prog->tier = all_affine && txn_pow2 ? SpecTier::kAffineBulk
+                                      : SpecTier::kStrideProgram;
   return prog;
 }
 

@@ -41,13 +41,12 @@
 namespace ttlg {
 
 /// How a plan executes after specialization analysis. Ordered weakest
-/// to strongest; persisted in plan files as the integer value.
+/// to strongest; persisted in plan files as the integer value. Value 2
+/// belonged to the retired rank-pinned "templated" tier and stays
+/// unused, so a stored 3 keeps meaning affine_bulk.
 enum class SpecTier : int {
   kGeneric = 0,        ///< no program: generic per-lane kernel
-  kStrideProgram = 1,  ///< program via the generic interpreter (rank
-                       ///< above the largest dispatch-table bucket)
-  kTemplated = 2,      ///< program via a (schema, rank bucket, width)
-                       ///< templated kernel variant
+  kStrideProgram = 1,  ///< program, per-access closed-form charging
   kAffineBulk = 3,     ///< all accesses affine runs: whole-tile
                        ///< closed-form transaction charging
 };

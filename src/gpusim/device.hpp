@@ -3,6 +3,9 @@
 // A kernel is any callable `void(BlockCtx&)`; Device::launch runs it for
 // every block of the grid, aggregates hardware-event counters and feeds
 // them to the timing model. See block_ctx.hpp for the execution model.
+// Device::launch_members is the one engine behind it: a launch is a
+// batch of one member, a fused batch is N members of one grid run as a
+// single dispatch, and a shard window is a block range of that grid.
 //
 // Grid blocks are independent by construction, so large grids execute
 // on the parallel block-execution engine (thread_pool.hpp): contiguous
@@ -17,7 +20,9 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/error.hpp"
@@ -155,140 +160,103 @@ class Device {
     return bytes_allocated_;
   }
 
-  /// Run `kernel(BlockCtx&)` over the whole grid and return counters +
-  /// simulated time. In count-only mode with sampling enabled and a
-  /// block classifier supplied, only a few representative blocks per
-  /// equivalence class execute; counters are scaled by multiplicity.
+  /// Run `kernel(BlockCtx&)` over the grid (or the block window
+  /// cfg.block_offset + [0, cfg.grid_blocks)) and return counters +
+  /// simulated time: launch_members() with one member.
   template <class Kernel>
   LaunchResult launch(Kernel&& kernel, const LaunchConfig& cfg) {
+    LaunchResult res;
+    launch_members(
+        [&kernel](std::int64_t) -> const std::remove_reference_t<Kernel>& {
+          return kernel;
+        },
+        cfg, std::span<LaunchResult>(&res, 1));
+    return res;
+  }
+
+  /// The launch engine: execute `make_kernel(m)` for every member m of
+  /// `results` over the block range cfg describes (block ids stay
+  /// ABSOLUTE, so a window executes exactly the blocks it would inside
+  /// the full launch) and write member m's counters and simulated time
+  /// to results[m]. Two or more members form one super-grid of
+  /// members * cfg.grid_blocks blocks run through a SINGLE thread-pool
+  /// dispatch — the launch-overhead fix for small repeated tensors —
+  /// and each member's kernel sees the block ids its own launch would.
+  ///
+  /// Per-member results are bit-identical to one launch per member at
+  /// every thread count: chunk workers stream across member boundaries
+  /// with per-segment counter shards reduced in block order, and each
+  /// member's texture accesses run through a cache that starts cold,
+  /// exactly as its own launch would. Fault-injection sites are rolled
+  /// once per call, BEFORE any block runs, so a failed launch has no
+  /// side effects (matching real launch failures). In count-only mode
+  /// with sampling enabled and a block classifier supplied, only a few
+  /// representative blocks per equivalence class execute and counters
+  /// are scaled by multiplicity. cfg.tex_capture takes one member only.
+  template <class KernelFactory>
+  void launch_members(KernelFactory&& make_kernel, const LaunchConfig& cfg,
+                      std::span<LaunchResult> results) {
+    const std::int64_t members = static_cast<std::int64_t>(results.size());
+    TTLG_CHECK(members > 0, "a launch needs at least one member");
+    TTLG_CHECK(members == 1 || cfg.tex_capture == nullptr,
+               "texture capture records a single member's launch");
     validate(cfg);
-    // Fault-injection sites fire BEFORE any block runs, so a failed
-    // launch has no side effects (matching real launch failures).
     if (FaultInjector::global().armed()) check_injected_launch_faults(cfg);
     // One branch on the off path; everything else lives in device.cpp.
     const bool telem = telemetry::counters_enabled();
     const double telem_start_us = telem ? telemetry_now_us() : 0.0;
-    LaunchResult res;
-    res.counters.grid_blocks = cfg.grid_blocks;
-    res.counters.block_threads = cfg.block_threads;
-    res.counters.shared_bytes_per_block = cfg.shared_elems * cfg.elem_size;
-
-    std::vector<std::byte> smem(
-        static_cast<std::size_t>(cfg.shared_elems * cfg.elem_size));
-    TextureCache tex(props_.tex_cache_lines, props_.tex_line_bytes);
-
-    if (mode_ == ExecMode::kCountOnly && sampling_ > 0 && cfg.block_class &&
-        cfg.num_classes >= 1) {
-      run_sampled(kernel, cfg, res, smem, tex);
-    } else if (const int nthreads = launch_parallelism(cfg.grid_blocks);
-               nthreads > 1) {
-      run_parallel(kernel, cfg, res, tex, nthreads);
-    } else {
-      const PatternCachePool::Lease pc = pattern_pool_.acquire(pattern_cache_);
-      for (std::int64_t b = cfg.block_offset;
-           b < cfg.block_offset + cfg.grid_blocks; ++b) {
-        BlockCtx blk(b, cfg.block_threads, mode_, props_, res.counters,
-                     smem.data(), cfg.shared_elems, tex, cfg.tex_capture,
-                     pc.get());
-        kernel(blk);
-      }
-    }
-    res.timing = kernel_timing(props_, res.counters);
-    res.time_s = res.timing.total_s;
-    if (telem)
-      record_launch_telemetry(cfg, res, telem_start_us);
-    else if (telemetry::log_site_enabled(telemetry::LogLevel::kDebug))
-      log_launch(cfg, res);  // structured log wants launches even when
-                             // the counters level is off
-    return res;
-  }
-
-  /// Fused batched launch: execute `make_kernel(m)` for every member m
-  /// in [0, num_members) over ONE super-grid of num_members *
-  /// cfg.grid_blocks blocks — a single thread-pool dispatch instead of
-  /// num_members separate launches (the launch-overhead regime where
-  /// small tensors lose). `cfg` describes one member's launch: a whole
-  /// grid (zero block offset) with no texture capture; the block ids
-  /// handed to each member's kernel are the member-LOCAL ids it would
-  /// see in its own launch, so kernels need no batching awareness.
-  ///
-  /// The returned per-member LaunchResults — counters, timing and
-  /// simulated times, texture misses included — are bit-identical to
-  /// num_members individual launch() calls at every thread count:
-  /// chunk workers stream across member boundaries with per-segment
-  /// counter shards reduced in chunk-index (= block) order, and each
-  /// member's block-ordered texture log is replayed through its own
-  /// fresh TextureCache — exactly the cold cache an individual launch
-  /// starts from. Fault-injection sites fire once, BEFORE any block
-  /// runs, so a failed fused launch has no side effects.
-  template <class KernelFactory>
-  std::vector<LaunchResult> launch_batched(KernelFactory&& make_kernel,
-                                           const LaunchConfig& cfg,
-                                           std::int64_t num_members) {
-    TTLG_CHECK(num_members > 0, "batched launch needs at least one member");
-    TTLG_CHECK(cfg.block_offset == 0 && cfg.tex_capture == nullptr,
-               "batched launches take whole-grid member configs");
-    validate(cfg);
-    if (FaultInjector::global().armed()) check_injected_launch_faults(cfg);
-
-    std::vector<LaunchResult> results(static_cast<std::size_t>(num_members));
-    // Sampled counting scales representative blocks per class; its
-    // cache-warming protocol is per-launch state, so the members run
-    // through the unfused path (bit-identity is the contract, and a
-    // sampled sweep is not the launch-overhead regime fusion targets).
-    if (mode_ == ExecMode::kCountOnly && sampling_ > 0 && cfg.block_class &&
-        cfg.num_classes >= 1) {
-      for (std::int64_t m = 0; m < num_members; ++m)
-        results[static_cast<std::size_t>(m)] = launch(make_kernel(m), cfg);
-      return results;
-    }
-
-    const bool telem = telemetry::counters_enabled();
-    const double telem_start_us = telem ? telemetry_now_us() : 0.0;
     for (LaunchResult& r : results) {
+      r = LaunchResult{};
       r.counters.grid_blocks = cfg.grid_blocks;
       r.counters.block_threads = cfg.block_threads;
       r.counters.shared_bytes_per_block = cfg.shared_elems * cfg.elem_size;
     }
-    const std::int64_t total = cfg.grid_blocks * num_members;
-    if (const int nthreads = launch_parallelism(total); nthreads > 1) {
-      run_batched_parallel(make_kernel, cfg, results, nthreads);
+
+    if (mode_ == ExecMode::kCountOnly && sampling_ > 0 && cfg.block_class &&
+        cfg.num_classes >= 1) {
+      for (std::int64_t m = 0; m < members; ++m)
+        run_sampled(make_kernel(m), cfg,
+                    results[static_cast<std::size_t>(m)].counters);
+    } else if (const int nthreads =
+                   launch_parallelism(cfg.grid_blocks * members);
+               nthreads > 1) {
+      run_parallel(make_kernel, cfg, results, nthreads);
     } else {
       const PatternCachePool::Lease pc = pattern_pool_.acquire(pattern_cache_);
       std::vector<std::byte> smem(
           static_cast<std::size_t>(cfg.shared_elems * cfg.elem_size));
-      for (std::int64_t m = 0; m < num_members; ++m) {
-        LaunchResult& r = results[static_cast<std::size_t>(m)];
-        // Fresh cache per member: an individual launch starts cold.
-        TextureCache tex(props_.tex_cache_lines, props_.tex_line_bytes);
-        auto kernel = make_kernel(m);
-        for (std::int64_t b = 0; b < cfg.grid_blocks; ++b) {
-          BlockCtx blk(b, cfg.block_threads, mode_, props_, r.counters,
-                       smem.data(), cfg.shared_elems, tex, nullptr, pc.get());
-          kernel(blk);
-        }
+      TextureCache tex(props_.tex_cache_lines, props_.tex_line_bytes);
+      for (std::int64_t m = 0; m < members; ++m) {
+        if (m > 0) tex.reset();  // each member's own launch starts cold
+        run_blocks(make_kernel(m), cfg, cfg.block_offset,
+                   cfg.block_offset + cfg.grid_blocks,
+                   results[static_cast<std::size_t>(m)].counters, smem.data(),
+                   tex, cfg.tex_capture, pc.get());
       }
     }
-    LaunchResult agg;
+
     for (LaunchResult& r : results) {
       r.timing = kernel_timing(props_, r.counters);
       r.time_s = r.timing.total_s;
+    }
+    // One telemetry record per call (sim.launches counts dispatches,
+    // which is exactly what fusing members reduces).
+    if (members == 1) {
+      emit_launch_telemetry(cfg, results.front(), telem, telem_start_us);
+      return;
+    }
+    LaunchResult agg;
+    for (const LaunchResult& r : results) {
       agg.counters += r.counters;
       agg.time_s += r.time_s;
     }
     agg.counters.block_threads = cfg.block_threads;
     agg.counters.shared_bytes_per_block = cfg.shared_elems * cfg.elem_size;
     agg.timing = kernel_timing(props_, agg.counters);
-    // One telemetry record for the whole fused launch (sim.launches
-    // counts dispatches, which is exactly what fusion reduces).
     LaunchConfig fused = cfg;
-    fused.grid_blocks = total;
+    fused.grid_blocks = cfg.grid_blocks * members;
     fused.kernel_name += "+batched";
-    if (telem)
-      record_launch_telemetry(fused, agg, telem_start_us);
-    else if (telemetry::log_site_enabled(telemetry::LogLevel::kDebug))
-      log_launch(fused, agg);
-    return results;
+    emit_launch_telemetry(fused, agg, telem, telem_start_us);
   }
 
  private:
@@ -302,82 +270,44 @@ class Device {
         std::min<std::int64_t>(resolved, grid_blocks));
   }
 
-  /// The parallel block-execution engine. The grid is split into
-  /// contiguous chunks; each chunk runs blocks in order with a private
-  /// LaunchCounters shard, a private (zero-initialized) shared-memory
-  /// arena and a private texture-access log. After the pool joins,
-  /// shards are reduced in CHUNK INDEX order (fixed block-order
-  /// reduction, never arrival order) and the texture logs are replayed
-  /// through the launch's single TextureCache, also in block order —
-  /// so counter totals, tex_misses included, are bit-identical to the
-  /// sequential engine at any thread count. Per-chunk smem arenas are
-  /// observationally equivalent to the shared sequential arena because
-  /// every kernel writes its shared tile before reading it.
+  /// The one block loop every execution path runs: blocks [lo, hi) of
+  /// one member in block-id order into `ctr`. A non-null `tex_log`
+  /// records texture accesses for a later block-ordered replay instead
+  /// of probing `tex` (see BlockCtx).
   template <class Kernel>
-  void run_parallel(const Kernel& kernel, const LaunchConfig& cfg,
-                    LaunchResult& res, TextureCache& tex, int nthreads) {
-    const std::int64_t nb = cfg.grid_blocks;
-    // A few chunks per thread keeps the atomic-cursor load balancing
-    // effective when block costs are skewed (remainder blocks).
-    const std::int64_t nchunks = std::min<std::int64_t>(
-        nb, static_cast<std::int64_t>(nthreads) * 4);
-    struct Shard {
-      LaunchCounters ctr;
-      std::vector<std::int64_t> tex_log;
-    };
-    std::vector<Shard> shards(static_cast<std::size_t>(nchunks));
-    ThreadPool::global().run_indexed(
-        nchunks, nthreads, [&](std::int64_t c) {
-          const std::int64_t lo = cfg.block_offset + nb * c / nchunks;
-          const std::int64_t hi = cfg.block_offset + nb * (c + 1) / nchunks;
-          std::vector<std::byte> smem(
-              static_cast<std::size_t>(cfg.shared_elems * cfg.elem_size));
-          // One pattern-cache lease per chunk: no sharing between host
-          // threads, and cached == recomputed keeps totals bit-identical
-          // regardless of which chunk warmed which cache.
-          const PatternCachePool::Lease pc =
-              pattern_pool_.acquire(pattern_cache_);
-          Shard& sh = shards[static_cast<std::size_t>(c)];
-          for (std::int64_t b = lo; b < hi; ++b) {
-            BlockCtx blk(b, cfg.block_threads, mode_, props_, sh.ctr,
-                         smem.data(), cfg.shared_elems, tex, &sh.tex_log,
-                         pc.get());
-            kernel(blk);
-          }
-        });
-    for (const Shard& sh : shards) {
-      res.counters += sh.ctr;
-      if (cfg.tex_capture != nullptr) {
-        // Capture mode: hand the block-ordered log to the caller
-        // instead of replaying it; the caller owns the cross-window
-        // replay (and the misses it produces).
-        cfg.tex_capture->insert(cfg.tex_capture->end(), sh.tex_log.begin(),
-                                sh.tex_log.end());
-      } else {
-        for (const std::int64_t addr : sh.tex_log) {
-          if (!tex.access(addr)) ++res.counters.tex_misses;
-        }
-      }
+  void run_blocks(const Kernel& kernel, const LaunchConfig& cfg,
+                  std::int64_t lo, std::int64_t hi, LaunchCounters& ctr,
+                  std::byte* smem, TextureCache& tex,
+                  std::vector<std::int64_t>* tex_log, PatternCache* pc) {
+    for (std::int64_t b = lo; b < hi; ++b) {
+      BlockCtx blk(b, cfg.block_threads, mode_, props_, ctr, smem,
+                   cfg.shared_elems, tex, tex_log, pc);
+      kernel(blk);
     }
   }
 
-  /// Parallel engine for launch_batched: one run_indexed dispatch over
-  /// the super-grid [0, num_members * cfg.grid_blocks). A chunk whose
-  /// block range crosses a member boundary opens a new SEGMENT (member
-  /// id, counter shard, texture log) and keeps streaming — no return to
-  /// the dispatcher between members. Segments of one member appear in
-  /// ascending chunk order and cover its blocks in ascending order, so
-  /// the chunk-order reduction and the per-member fresh-cache replay
-  /// reproduce the individual launches' totals exactly.
+  /// The parallel block-execution engine: one run_indexed dispatch over
+  /// the super-grid [0, members * cfg.grid_blocks). Each chunk runs its
+  /// blocks in order with a private (zero-initialized) shared-memory
+  /// arena; a chunk whose range crosses a member boundary opens a new
+  /// SEGMENT (member id, counter shard, texture log) and keeps
+  /// streaming. After the pool joins, segments are reduced in CHUNK
+  /// INDEX order (fixed block-order reduction, never arrival order) and
+  /// their texture logs replayed, also in block order, through a cache
+  /// that is reset at every member boundary — or, in capture mode,
+  /// handed to the caller — so counter totals, tex_misses included, are
+  /// bit-identical to the sequential engine at any thread count.
+  /// Per-chunk smem arenas are observationally equivalent to the shared
+  /// sequential arena because every kernel writes its shared tile
+  /// before reading it.
   template <class KernelFactory>
-  void run_batched_parallel(const KernelFactory& make_kernel,
-                            const LaunchConfig& cfg,
-                            std::vector<LaunchResult>& results,
-                            int nthreads) {
+  void run_parallel(const KernelFactory& make_kernel, const LaunchConfig& cfg,
+                    std::span<LaunchResult> results, int nthreads) {
     const std::int64_t bpm = cfg.grid_blocks;
-    const std::int64_t num_members =
-        static_cast<std::int64_t>(results.size());
-    const std::int64_t total = bpm * num_members;
+    const std::int64_t total =
+        bpm * static_cast<std::int64_t>(results.size());
+    // A few chunks per thread keeps the atomic-cursor load balancing
+    // effective when block costs are skewed (remainder blocks).
     const std::int64_t nchunks = std::min<std::int64_t>(
         total, static_cast<std::int64_t>(nthreads) * 4);
     struct Segment {
@@ -387,57 +317,66 @@ class Device {
     };
     std::vector<std::vector<Segment>> chunks(
         static_cast<std::size_t>(nchunks));
-    // Shared across chunks but never probed: every BlockCtx below
-    // carries a texture log, which records instead of accessing.
+    // Shared across chunks but never probed: every block below carries
+    // a texture log, which records instead of accessing.
     TextureCache tex(props_.tex_cache_lines, props_.tex_line_bytes);
     ThreadPool::global().run_indexed(
         nchunks, nthreads, [&](std::int64_t c) {
-          const std::int64_t lo = total * c / nchunks;
           const std::int64_t hi = total * (c + 1) / nchunks;
           std::vector<std::byte> smem(
               static_cast<std::size_t>(cfg.shared_elems * cfg.elem_size));
+          // One pattern-cache lease per chunk: no sharing between host
+          // threads, and cached == recomputed keeps totals bit-identical
+          // regardless of which chunk warmed which cache.
           const PatternCachePool::Lease pc =
               pattern_pool_.acquire(pattern_cache_);
           std::vector<Segment>& segs = chunks[static_cast<std::size_t>(c)];
-          std::int64_t b = lo;
-          while (b < hi) {
+          for (std::int64_t b = total * c / nchunks; b < hi;) {
             const std::int64_t m = b / bpm;
-            const std::int64_t base = m * bpm;
-            const std::int64_t seg_hi = std::min(hi, base + bpm);
+            const std::int64_t seg_hi = std::min(hi, (m + 1) * bpm);
             Segment& sg = segs.emplace_back();
             sg.member = m;
-            auto kernel = make_kernel(m);
-            for (; b < seg_hi; ++b) {
-              BlockCtx blk(b - base, cfg.block_threads, mode_, props_,
-                           sg.ctr, smem.data(), cfg.shared_elems, tex,
-                           &sg.tex_log, pc.get());
-              kernel(blk);
-            }
+            const std::int64_t first = cfg.block_offset + (b - m * bpm);
+            run_blocks(make_kernel(m), cfg, first, first + (seg_hi - b),
+                       sg.ctr, smem.data(), tex, &sg.tex_log, pc.get());
+            b = seg_hi;
           }
         });
-    std::vector<std::vector<std::int64_t>> logs(
-        static_cast<std::size_t>(num_members));
+    std::int64_t replaying = 0;
     for (const std::vector<Segment>& segs : chunks) {
       for (const Segment& sg : segs) {
-        const std::size_t m = static_cast<std::size_t>(sg.member);
-        results[m].counters += sg.ctr;
-        logs[m].insert(logs[m].end(), sg.tex_log.begin(), sg.tex_log.end());
-      }
-    }
-    for (std::size_t m = 0; m < logs.size(); ++m) {
-      TextureCache member_tex(props_.tex_cache_lines, props_.tex_line_bytes);
-      for (const std::int64_t addr : logs[m]) {
-        if (!member_tex.access(addr)) ++results[m].counters.tex_misses;
+        LaunchResult& r = results[static_cast<std::size_t>(sg.member)];
+        r.counters += sg.ctr;
+        if (cfg.tex_capture != nullptr) {
+          // Capture mode: hand the block-ordered log to the caller
+          // instead of replaying it; the caller owns the cross-window
+          // replay (and the misses it produces).
+          cfg.tex_capture->insert(cfg.tex_capture->end(), sg.tex_log.begin(),
+                                  sg.tex_log.end());
+          continue;
+        }
+        if (sg.member != replaying) {
+          tex.reset();  // a member's own launch starts cold
+          replaying = sg.member;
+        }
+        for (const std::int64_t addr : sg.tex_log) {
+          if (!tex.access(addr)) ++r.counters.tex_misses;
+        }
       }
     }
   }
 
+  /// Class-sampled counting for one member: per block class, warm the
+  /// texture cache with one representative, run `sampling_` evenly
+  /// spread representatives and scale their counters by the class
+  /// multiplicity.
   template <class Kernel>
   void run_sampled(const Kernel& kernel, const LaunchConfig& cfg,
-                   LaunchResult& res, std::vector<std::byte>& smem,
-                   TextureCache& tex) {
+                   LaunchCounters& out) {
     const PatternCachePool::Lease pc = pattern_pool_.acquire(pattern_cache_);
-    PatternCache* pcp = pc.get();
+    std::vector<std::byte> smem(
+        static_cast<std::size_t>(cfg.shared_elems * cfg.elem_size));
+    TextureCache tex(props_.tex_cache_lines, props_.tex_line_bytes);
     const std::int64_t nc = cfg.num_classes;
     const std::int64_t b_end = cfg.block_offset + cfg.grid_blocks;
     std::vector<std::int64_t> counts(static_cast<std::size_t>(nc), 0);
@@ -468,37 +407,44 @@ class Device {
           // Warm the texture cache so per-class miss rates reflect the
           // steady state, not the launch's cold start.
           LaunchCounters discard;
-          BlockCtx warm(b, cfg.block_threads, mode_, props_, discard,
-                        smem.data(), cfg.shared_elems, tex, nullptr, pcp);
-          kernel(warm);
+          run_blocks(kernel, cfg, b, b + 1, discard, smem.data(), tex,
+                     nullptr, pc.get());
           warmed = true;
         }
-        BlockCtx blk(b, cfg.block_threads, mode_, props_, cls, smem.data(),
-                     cfg.shared_elems, tex, nullptr, pcp);
-        kernel(blk);
+        run_blocks(kernel, cfg, b, b + 1, cls, smem.data(), tex, nullptr,
+                   pc.get());
       }
       const double scale =
           static_cast<double>(n) / static_cast<double>(samples);
       auto scaled = [&](std::int64_t v) {
         return static_cast<std::int64_t>(static_cast<double>(v) * scale + 0.5);
       };
-      res.counters.gld_transactions += scaled(cls.gld_transactions);
-      res.counters.gst_transactions += scaled(cls.gst_transactions);
-      res.counters.smem_load_ops += scaled(cls.smem_load_ops);
-      res.counters.smem_store_ops += scaled(cls.smem_store_ops);
-      res.counters.smem_bank_conflicts += scaled(cls.smem_bank_conflicts);
-      res.counters.tex_transactions += scaled(cls.tex_transactions);
-      res.counters.tex_misses += scaled(cls.tex_misses);
-      res.counters.special_ops += scaled(cls.special_ops);
-      res.counters.fma_ops += scaled(cls.fma_ops);
-      res.counters.barriers += scaled(cls.barriers);
-      res.counters.payload_bytes += scaled(cls.payload_bytes);
+      out.gld_transactions += scaled(cls.gld_transactions);
+      out.gst_transactions += scaled(cls.gst_transactions);
+      out.smem_load_ops += scaled(cls.smem_load_ops);
+      out.smem_store_ops += scaled(cls.smem_store_ops);
+      out.smem_bank_conflicts += scaled(cls.smem_bank_conflicts);
+      out.tex_transactions += scaled(cls.tex_transactions);
+      out.tex_misses += scaled(cls.tex_misses);
+      out.special_ops += scaled(cls.special_ops);
+      out.fma_ops += scaled(cls.fma_ops);
+      out.barriers += scaled(cls.barriers);
+      out.payload_bytes += scaled(cls.payload_bytes);
     }
   }
 
-  /// Telemetry sinks for launch(), kept out of the template: registry
-  /// counters at kCounters and a per-launch trace event (with the full
-  /// LaunchCounters as args) at kTrace.
+  void emit_launch_telemetry(const LaunchConfig& cfg, const LaunchResult& res,
+                             bool telem, double start_us) const {
+    if (telem)
+      record_launch_telemetry(cfg, res, start_us);
+    else if (telemetry::log_site_enabled(telemetry::LogLevel::kDebug))
+      log_launch(cfg, res);  // structured log wants launches even when
+                             // the counters level is off
+  }
+
+  /// Telemetry sinks for launch_members(), kept out of the template:
+  /// registry counters at kCounters and a per-launch trace event (with
+  /// the full LaunchCounters as args) at kTrace.
   static double telemetry_now_us();
   void record_launch_telemetry(const LaunchConfig& cfg,
                                const LaunchResult& res,

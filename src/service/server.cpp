@@ -308,8 +308,7 @@ void Server::process_batch(std::vector<Request> reqs) {
   bool cache_hit = false;
   ExecPath exec_path = ExecPath::kPlanned;
   std::vector<sim::LaunchResult> runs;
-  std::vector<std::pair<sim::DeviceBuffer<double>, sim::DeviceBuffer<double>>>
-      pairs;
+  std::vector<MemberPair<double>> pairs;
   auto free_pairs = [&] {
     for (auto& [in, out] : pairs) {
       dev_.try_free(in);
@@ -338,10 +337,8 @@ void Server::process_batch(std::vector<Request> reqs) {
       }
       pairs.emplace_back(in, out);
     }
-    runs = plan->execute_batched<double>(
-        std::span<const std::pair<sim::DeviceBuffer<double>,
-                                  sim::DeviceBuffer<double>>>(pairs),
-        live.front().alpha, live.front().beta);
+    runs = plan->launch<double>(
+        {pairs, {}, {live.front().alpha, live.front().beta}});
     exec_path = plan->last_exec_path();
   } catch (const Error& e) {
     st = Status::from(e);

@@ -70,8 +70,9 @@ struct ServerConfig {
   /// scans the backlog for compatible ones — same shape, permutation
   /// and alpha/beta (elem width and PlanOptions are server-wide, so
   /// compatible requests share one cached plan) — and serves up to
-  /// max_batch of them through ONE fused batched launch
-  /// (Plan::execute_batched), fanning per-member Responses back out.
+  /// max_batch of them through ONE fused batched launch (a
+  /// many-member Plan::launch descriptor), fanning per-member Responses
+  /// back out.
   /// Member selection is deadline-ordered (BoundedQueue::
   /// extract_compatible); any fused-path failure re-processes every
   /// member individually, so a failing member fails only its request.

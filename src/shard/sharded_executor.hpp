@@ -7,8 +7,8 @@
 //
 //  - kUniform (default): one kernel selection is pinned against the
 //    REFERENCE device (fleet descriptor 0) and every shard executes a
-//    disjoint block-id window of that single logical grid
-//    (Plan::execute_window). Because block ids stay absolute and the
+//    disjoint block-id window of that single logical grid (a windowed
+//    Plan::launch descriptor). Because block ids stay absolute and the
 //    counting-relevant DeviceProperties are shared by the shipped
 //    profiles, the summed per-shard LaunchCounters — including
 //    tex_misses, reconstructed by replaying the captured texture logs
@@ -24,7 +24,10 @@
 // Both policies merge shard outputs into the caller's buffer only
 // after EVERY shard succeeded — a failed run never leaves a partially
 // written output. A failed shard batch is retried on the next healthy
-// device (failover) before the run fails classified.
+// device (failover) before the run fails classified. Device-side
+// mirrors, slab buffers and window plans are per-run scratch, released
+// on every path: each device's bytes_allocated() returns to its
+// pre-run value.
 #pragma once
 
 #include <algorithm>
@@ -132,14 +135,26 @@ class ShardedExecutor {
                                          int elem_size);
 
  private:
-  /// Per-device working state for one run (or one failover retry).
-  /// Held by unique_ptr so shard->owner pointers survive container
-  /// growth when retries append states.
+  /// Per-device working state for one run (or one failover retry, or
+  /// one per-device slab). Held by unique_ptr so shard->owner pointers
+  /// survive container growth when retries append states. The mirrors
+  /// are freed with the state — on success, failover, classified
+  /// failure and count-only runs alike.
   template <class T>
   struct DeviceState {
+    sim::Device* dev = nullptr;    // device holding the mirrors
     sim::DeviceBuffer<T> in, out;  // device-local mirrors
     std::unique_ptr<Plan> plan;    // uniform policy window plan
     std::vector<int> shard_ids;    // shards batched on this state
+
+    DeviceState() = default;
+    DeviceState(const DeviceState&) = delete;
+    DeviceState& operator=(const DeviceState&) = delete;
+    ~DeviceState() {
+      if (dev == nullptr) return;
+      dev->try_free(in);  // no-op for a mirror that was never allocated
+      dev->try_free(out);
+    }
   };
 
   /// Scoped execution-mode/sampling switch over the whole fleet.
@@ -290,6 +305,7 @@ ShardedResult ShardedExecutor::run_uniform(const TransposeProblem& problem,
                              bool capture_tex) -> Status {
     return capture([&]() -> int {
              sim::Device& dev = fleet_.device(j);
+             st.dev = &dev;
              if (functional) {
                st.in = dev.alloc_copy<T>(*in);
                st.out = dev.alloc_copy<T>(
@@ -308,8 +324,10 @@ ShardedResult ShardedExecutor::run_uniform(const TransposeProblem& problem,
                win.tex_capture =
                    capture_tex ? &tex_logs[static_cast<std::size_t>(i)]
                                : nullptr;
+               const MemberPair<T> member{st.in, st.out};
                const sim::LaunchResult r =
-                   st.plan->execute_window(st.in, st.out, win, alpha, beta);
+                   st.plan->launch(LaunchDescriptor<T>{
+                       {&member, 1}, win, {alpha, beta}}).front();
                s.counters = r.counters;
                s.exec_s = r.time_s;
              }
@@ -457,10 +475,11 @@ ShardedResult ShardedExecutor::run_per_device(const TransposeProblem& problem,
              const Shape slab_shape(ext);
              const Index slab_vol = slab_shape.volume();
 
-             sim::DeviceBuffer<T> in_buf, out_buf;
+             DeviceState<T> st;  // frees the slab buffers on every path
+             st.dev = &dev;
              if (functional) {
                const Index base = d >= 0 ? slab.lo * fs.stride(d) : 0;
-               in_buf = dev.alloc_copy<T>(
+               st.in = dev.alloc_copy<T>(
                    in->subspan(static_cast<std::size_t>(base),
                                static_cast<std::size_t>(slab_vol)));
                if (beta != T{0}) {
@@ -482,27 +501,25 @@ ShardedResult ShardedExecutor::run_per_device(const TransposeProblem& problem,
                        prev.data(), out->data(),
                        static_cast<std::size_t>(slab_vol) * sizeof(T));
                  }
-                 out_buf = dev.alloc_copy<T>(
+                 st.out = dev.alloc_copy<T>(
                      std::span<const T>(prev.data(), prev.size()));
                } else {
-                 out_buf = dev.alloc<T>(slab_vol);
+                 st.out = dev.alloc<T>(slab_vol);
                }
              } else {
-               in_buf = dev.alloc_virtual<T>(slab_vol);
-               out_buf = dev.alloc_virtual<T>(slab_vol);
+               st.in = dev.alloc_virtual<T>(slab_vol);
+               st.out = dev.alloc_virtual<T>(slab_vol);
              }
              Plan plan = make_plan(dev, slab_shape, fp, popts);
              slab.schema = plan.schema();
              const sim::LaunchResult r =
-                 plan.execute<T>(in_buf, out_buf, alpha, beta);
+                 plan.execute<T>(st.in, st.out, alpha, beta);
              s.counters = r.counters;
              s.exec_s = r.time_s;
              if (functional) {
                slab.out_host.resize(static_cast<std::size_t>(slab_vol));
-               std::memcpy(slab.out_host.data(), out_buf.data(),
+               std::memcpy(slab.out_host.data(), st.out.data(),
                            static_cast<std::size_t>(slab_vol) * sizeof(T));
-               dev.free(in_buf);
-               dev.free(out_buf);
              }
              return 0;
            })

@@ -1,13 +1,14 @@
-// Fused batched-launch engine (core/batched_plan.hpp, Plan::
-// execute_batched, sim::Device::launch_batched): a batch folded into
-// one super-grid dispatch must be BIT-IDENTICAL to N individual
+// Fused batched-launch engine (core/batched_plan.hpp, a many-member
+// Plan::launch descriptor, sim::Device::launch_members): a batch folded
+// into one super-grid dispatch must be BIT-IDENTICAL to N individual
 // execute() calls — per-member outputs, every per-member
 // LaunchCounters field, and the per-member simulated times — across
 // all kernel schemas, element widths, thread counts and pattern-cache
 // settings; aggregate counters must be exactly additive. Directed
 // tests pin the fallback ladder: a retryable fused failure re-runs the
 // per-member loop, and a mid-loop member failure's classified Status
-// names the failing member index and the completed count.
+// names the failing member index and the completed count; and the
+// fault-site contract: every launch call rolls the launch site once.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -259,6 +260,42 @@ TEST(BatchedLaunch, MidLoopMemberFailureNamesIndexAndProgress) {
   const std::string msg = res.status().message();
   EXPECT_NE(msg.find("batched member 1 of 4"), std::string::npos) << msg;
   EXPECT_NE(msg.find("1 member(s) completed"), std::string::npos) << msg;
+}
+
+TEST(BatchedLaunch, EachLaunchCallRollsTheLaunchSiteOnce) {
+  // Fault sites fire before any block runs, once per launch call —
+  // single, fused, and fused under sampled counting alike (the sampled
+  // path must not re-roll per member). The trigger is armed so queries
+  // are counted, but far enough out that it never fires.
+  const Shape shape(Extents{40, 9, 40});
+  const Permutation perm(std::vector<Index>{2, 1, 0});
+  for (const bool sampled : {false, true}) {
+    sim::Device dev;
+    if (sampled) {
+      dev.set_mode(sim::ExecMode::kCountOnly);
+      dev.set_sampling(2);
+    }
+    const Plan plan = make_plan(dev, shape, perm);
+    std::vector<std::pair<sim::DeviceBuffer<double>, sim::DeviceBuffer<double>>>
+        batch;
+    for (int m = 0; m < 3; ++m)
+      batch.emplace_back(dev.alloc<double>(shape.volume()),
+                         dev.alloc<double>(shape.volume()));
+    sim::ScopedFaults faults("launch.nth=1000000000");
+    const auto& inj = sim::FaultInjector::global();
+    const std::string what = sampled ? "sampled" : "exact";
+
+    std::int64_t before = inj.queries(sim::FaultSite::kLaunch);
+    plan.execute<double>(batch[0].first, batch[0].second);
+    EXPECT_EQ(inj.queries(sim::FaultSite::kLaunch), before + 1)
+        << what << " single";
+
+    before = inj.queries(sim::FaultSite::kLaunch);
+    const BatchedResult res = run_batched<double>(plan, batch);
+    ASSERT_TRUE(res.fused) << what;
+    EXPECT_EQ(inj.queries(sim::FaultSite::kLaunch), before + 1)
+        << what << " fused";
+  }
 }
 
 TEST(BatchedLaunch, EmptyBatchIsInvalidArgument) {

@@ -84,8 +84,11 @@ TEST(PlanIo, RejectsMalformedInputWithClassifiedCodes) {
   EXPECT_EQ(load_code(dev, "ttlg-plan 99\n"), ErrorCode::kUnsupported);
   EXPECT_EQ(load_code(dev, "ttlg-plan 1\nshape 4 4\n"),
             ErrorCode::kUnsupported);
-  // Right version but no checksum record.
+  // Version 3 still names the retired templated tier: re-save.
   EXPECT_EQ(load_code(dev, "ttlg-plan 3\nshape 4 4\n"),
+            ErrorCode::kUnsupported);
+  // Right version but no checksum record.
+  EXPECT_EQ(load_code(dev, "ttlg-plan 4\nshape 4 4\n"),
             ErrorCode::kDataLoss);
   EXPECT_EQ(load_code(dev, ""), ErrorCode::kDataLoss);
   Plan empty;
@@ -145,7 +148,7 @@ TEST(PlanIo, RejectsGarbage) {
 
 TEST(PlanIo, TryLoadReturnsStatusInsteadOfThrowing) {
   sim::Device dev;
-  std::stringstream bad("ttlg-plan 3\ngarbage\n");
+  std::stringstream bad("ttlg-plan 4\ngarbage\n");
   auto result = try_load_plan(dev, bad);
   ASSERT_FALSE(result.has_value());
   EXPECT_EQ(result.status().code(), ErrorCode::kDataLoss);
@@ -162,7 +165,7 @@ TEST(PlanIo, FormatIsHumanReadable) {
   std::stringstream buf;
   save_plan(buf, plan);
   const std::string text = buf.str();
-  EXPECT_NE(text.find("ttlg-plan 3"), std::string::npos);
+  EXPECT_NE(text.find("ttlg-plan 4"), std::string::npos);
   EXPECT_NE(text.find("shape 64 64"), std::string::npos);
   EXPECT_NE(text.find("perm 1 0"), std::string::npos);
   EXPECT_NE(text.find("od "), std::string::npos);

@@ -3,7 +3,8 @@
 // shard batch to a healthy device and return a degraded-but-correct
 // result, or (b) surface a classified Expected error with a
 // flight-recorder post-mortem — and in NO case leave a partially
-// written output buffer.
+// written output buffer or device memory behind: every fleet device's
+// bytes_allocated() returns to its pre-run value.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -40,6 +41,13 @@ Buffers make_buffers() {
   return b;
 }
 
+std::vector<std::int64_t> device_bytes(Fleet& fleet) {
+  std::vector<std::int64_t> bytes;
+  for (int d = 0; d < fleet.size(); ++d)
+    bytes.push_back(fleet.device(d).bytes_allocated());
+  return bytes;
+}
+
 Expected<ShardedResult> run_sharded(Fleet& fleet, ShardOptions sopts,
                                     Buffers& b) {
   ShardedExecutor ex(fleet, sopts);
@@ -53,6 +61,7 @@ TEST(ShardFault, TransientLaunchFaultFailsOverAndStaysCorrect) {
   Fleet fleet = Fleet::homogeneous(3);
   auto& reg = telemetry::MetricsRegistry::global();
   const auto failovers_before = reg.counter_value("shard.failovers");
+  const auto bytes_before = device_bytes(fleet);
 
   Expected<ShardedResult> res = [&] {
     // One launch fault in the whole process: exactly one shard batch
@@ -70,6 +79,8 @@ TEST(ShardFault, TransientLaunchFaultFailsOverAndStaysCorrect) {
   EXPECT_FALSE(res->counters_exact)
       << "failover forfeits the exact-counters guarantee";
   EXPECT_EQ(reg.counter_value("shard.failovers"), failovers_before + 1);
+  EXPECT_EQ(device_bytes(fleet), bytes_before)
+      << "failed-over run left device memory behind";
 }
 
 TEST(ShardFault, PersistentLaunchFaultFailsClassifiedWithPostMortem) {
@@ -86,6 +97,7 @@ TEST(ShardFault, PersistentLaunchFaultFailsClassifiedWithPostMortem) {
   const std::int64_t dumps_before = fr.dumps();
   auto& reg = telemetry::MetricsRegistry::global();
   const auto failures_before = reg.counter_value("shard.failures");
+  const auto bytes_before = device_bytes(fleet);
 
   Expected<ShardedResult> res = [&] {
     sim::ScopedFaults faults("launch.every=1");  // no device can launch
@@ -103,6 +115,8 @@ TEST(ShardFault, PersistentLaunchFaultFailsClassifiedWithPostMortem) {
   EXPECT_EQ(0, std::memcmp(b.out.data(), b.sentinel.data(),
                            b.out.size() * sizeof(double)))
       << "failed sharded run must not write the output buffer";
+  EXPECT_EQ(device_bytes(fleet), bytes_before)
+      << "failed run left device memory behind";
   fs::remove_all(dir);
 }
 
@@ -142,6 +156,7 @@ TEST(ShardFault, PerDevicePolicyLadderAbsorbsTransientFault) {
   // the run must succeed without even needing shard failover.
   Buffers b = make_buffers();
   Fleet fleet = Fleet::homogeneous(3);
+  const auto bytes_before = device_bytes(fleet);
   Expected<ShardedResult> res = [&] {
     sim::ScopedFaults faults("seed=7,launch.nth=1");
     ShardOptions sopts;
@@ -152,11 +167,14 @@ TEST(ShardFault, PerDevicePolicyLadderAbsorbsTransientFault) {
   ASSERT_TRUE(res.has_value()) << res.status().message();
   EXPECT_EQ(0, std::memcmp(b.out.data(), b.expected.data(),
                            b.out.size() * sizeof(double)));
+  EXPECT_EQ(device_bytes(fleet), bytes_before)
+      << "per-device run left slab buffers behind";
 }
 
 TEST(ShardFault, AllocFaultDuringMirroringIsClassified) {
   Buffers b = make_buffers();
   Fleet fleet = Fleet::homogeneous(2);
+  const auto bytes_before = device_bytes(fleet);
   Expected<ShardedResult> res = [&] {
     sim::ScopedFaults faults("alloc.every=1");  // no mirror can be staged
     return run_sharded(fleet, ShardOptions{.num_shards = 2}, b);
@@ -166,6 +184,8 @@ TEST(ShardFault, AllocFaultDuringMirroringIsClassified) {
   EXPECT_EQ(res.status().code(), ErrorCode::kResourceExhausted);
   EXPECT_EQ(0, std::memcmp(b.out.data(), b.sentinel.data(),
                            b.out.size() * sizeof(double)));
+  EXPECT_EQ(device_bytes(fleet), bytes_before)
+      << "failed mirroring left device memory behind";
 }
 
 }  // namespace

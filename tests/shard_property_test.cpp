@@ -54,7 +54,8 @@ sim::LaunchCounters reference_counters(const Shape& shape,
   auto out = ref.alloc_copy<double>(
       std::span<const double>(out_host.data(), out_host.size()));
   Plan plan = Plan::from_selection(ref, problem, sel);
-  return plan.execute_window<double>(in, out, LaunchWindow{}).counters;
+  const MemberPair<double> member{in, out};
+  return plan.launch<double>({{&member, 1}, {}, {}}).front().counters;
 }
 
 TEST(ShardCounterAdditivity, SumsExactlyToUnshardedForEverySchema) {
@@ -102,6 +103,13 @@ TEST(ShardCounterAdditivity, CountOnlyRunsMatchFunctionalCounters) {
   std::vector<double> out_host(static_cast<std::size_t>(shape.volume()));
   for (auto& x : in_host) x = rng.uniform01();
 
+  // Both runs release their per-device mirrors and window plans:
+  // every device ends with the bytes it started with.
+  const auto expect_no_retained_bytes = [](Fleet& fleet, const char* what) {
+    for (int d = 0; d < fleet.size(); ++d)
+      EXPECT_EQ(fleet.device(d).bytes_allocated(), 0)
+          << what << " run left memory on device " << d;
+  };
   for (int n : {2, 3}) {
     Fleet ffleet = Fleet::homogeneous(n);
     ShardOptions sopts;
@@ -112,11 +120,13 @@ TEST(ShardCounterAdditivity, CountOnlyRunsMatchFunctionalCounters) {
         shape, perm, std::span<const double>(in_host.data(), in_host.size()),
         std::span<double>(out.data(), out.size()));
     ASSERT_TRUE(fres.has_value());
+    expect_no_retained_bytes(ffleet, "functional");
 
     Fleet cfleet = Fleet::homogeneous(n);
     ShardedExecutor cex(cfleet, sopts);
     auto cres = cex.run_count_only(shape, perm, sizeof(double));
     ASSERT_TRUE(cres.has_value());
+    expect_no_retained_bytes(cfleet, "count-only");
     EXPECT_TRUE(cres->counters_exact);
     EXPECT_EQ(cres->counters().total().to_json().dump(),
               fres->counters().total().to_json().dump());

@@ -1,5 +1,5 @@
 // Plan-time kernel specialization (core/stride_program.hpp): the
-// compiled stride-program / templated / affine-bulk tiers must be
+// compiled stride-program and affine-bulk tiers must be
 // BIT-IDENTICAL to the generic kernels — outputs, every LaunchCounters
 // field, and the simulated time — at every element width, thread count
 // and pattern-cache setting, including awkward prime and size-1
@@ -129,6 +129,7 @@ const std::vector<Case>& schema_cases() {
   static const std::vector<Case> cases = {
       {{64, 64, 4}, {0, 1, 2}},               // Copy
       {{64, 16, 16}, {0, 2, 1}},              // FVI-Match-Large
+      {{64, 2, 3, 2, 3}, {0, 4, 3, 2, 1}},    // FVI-Match-Large, 5 slots
       {{16, 8, 24}, {0, 2, 1}},               // FVI-Match-Small
       {{40, 9, 40}, {2, 1, 0}},               // Orthogonal-Distinct
       {{8, 2, 24, 24, 24}, {2, 1, 3, 0, 4}},  // Orthogonal-Arbitrary
@@ -145,8 +146,7 @@ const std::vector<Case>& awkward_cases() {
       {{1, 5, 1, 7}, {3, 2, 1, 0}},
       {{13, 1, 29}, {2, 1, 0}},
       {{1, 1, 64}, {2, 1, 0}},
-      // Rank 7: the decoder exceeds the templated rank buckets, so the
-      // dynamic-rank stride-program interpreter carries the launch.
+      // Rank 7: seven grid-decode slots through the dynamic-rank decode.
       {{3, 4, 5, 2, 3, 4, 5}, {6, 5, 4, 3, 2, 1, 0}},
   };
   return cases;
@@ -223,6 +223,14 @@ TEST(Specialization, AffineTierEngagesAndIsCounted) {
   // The tier is part of the plan's self-description.
   EXPECT_NE(plan.describe().find("specialization=affine_bulk"),
             std::string::npos);
+
+  // The affine tier has no decode-rank limit: a fused rank-5
+  // FVI-Match-Large grid decodes five slots and still engages it.
+  Plan wide = make_plan(dev, Shape({64, 2, 3, 2, 3}),
+                        Permutation({0, 4, 3, 2, 1}));
+  EXPECT_EQ(wide.schema(), Schema::kFviMatchLarge);
+  EXPECT_GT(wide.selection().fvi_large.decoder.slots(), 4);
+  EXPECT_EQ(wide.specialization_tier(), SpecTier::kAffineBulk);
 }
 
 TEST(Specialization, OptOutRestoresGenericExactly) {
@@ -311,7 +319,7 @@ TEST(Specialization, CountOnlyAndSampledModesMatchToo) {
 }
 
 // ---------------------------------------------------------------------
-// Plan-file persistence of the tier (format v3).
+// Plan-file persistence of the tier (format v4).
 
 TEST(Specialization, PlanFileRoundTripPreservesTier) {
   sim::Device dev;
@@ -389,9 +397,12 @@ TEST(Specialization, CorruptedTierRecordIsDataLoss) {
   // Out-of-range tier, valid checksum: rejected by the range check.
   EXPECT_EQ(load_code(dev, with_spec_record(text, "spec 9")),
             ErrorCode::kDataLoss);
+  // The retired templated tier's value is no tier at all.
+  EXPECT_EQ(load_code(dev, with_spec_record(text, "spec 2")),
+            ErrorCode::kDataLoss);
   // In-range but WRONG tier, valid checksum: compilation is
   // deterministic, so the re-derived tier disagrees -> data loss.
-  const int wrong = tier == 1 ? 2 : 1;
+  const int wrong = tier == 1 ? 3 : 1;
   EXPECT_EQ(load_code(dev, with_spec_record(
                                text, "spec " + std::to_string(wrong))),
             ErrorCode::kDataLoss);
