@@ -139,7 +139,8 @@ const HotPath& fvi_large_case() {
 }
 
 void run_functional(benchmark::State& state, const HotPath& hp,
-                    bool specialize = true) {
+                    bool specialize = true, double alpha = 1,
+                    double beta = 0) {
   const Shape shape(hp.ext);
   const Permutation perm(hp.perm);
   sim::Device dev;
@@ -155,8 +156,12 @@ void run_functional(benchmark::State& state, const HotPath& hp,
                             .c_str());
     return;
   }
+  // The first beta != 0 launch builds the plan's blend program: keep
+  // that one-off cost out of the timed loop.
+  if (beta != 0) plan.execute<double>(in, out, alpha, beta);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(plan.execute<double>(in, out).time_s);
+    benchmark::DoNotOptimize(
+        plan.execute<double>(in, out, alpha, beta).time_s);
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           shape.volume() * 16);
@@ -195,6 +200,12 @@ void BM_ExecuteOD_CountOnly(benchmark::State& state) {
 }
 BENCHMARK(BM_ExecuteOD_CountOnly);
 
+// out = 2 * A' + 0.5 * out: the beta epilogue reads out back.
+void BM_ExecuteOD_Accumulate(benchmark::State& state) {
+  run_functional(state, od_case(), /*specialize=*/true, 2.0, 0.5);
+}
+BENCHMARK(BM_ExecuteOD_Accumulate);
+
 void BM_ExecuteOA_Functional(benchmark::State& state) {
   run_functional(state, oa_case());
 }
@@ -232,6 +243,11 @@ void BM_AblateOD_CountOnly(benchmark::State& state) {
   run_count_only(state, od_case(), /*specialize=*/false);
 }
 BENCHMARK(BM_AblateOD_CountOnly);
+
+void BM_AblateOD_Accumulate(benchmark::State& state) {
+  run_functional(state, od_case(), /*specialize=*/false, 2.0, 0.5);
+}
+BENCHMARK(BM_AblateOD_Accumulate);
 
 void BM_AblateOA_Functional(benchmark::State& state) {
   run_functional(state, oa_case(), /*specialize=*/false);

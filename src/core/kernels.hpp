@@ -26,6 +26,17 @@ struct Epilogue {
   T alpha{1};
   T beta{0};
   bool is_identity() const { return alpha == T{1} && beta == T{0}; }
+  /// beta != 0: every store first reads the previous output back.
+  bool reads_out() const { return beta != T{0}; }
+
+  // The per-element arithmetic, shared by the generic kernels
+  // (store_with_epilogue) and the specialized copy (core/spec_exec.hpp)
+  // so that both round identically at every width (1- and 2-byte types
+  // promote to int and wrap back on the cast).
+  /// beta == 0: the permuted value scaled by alpha.
+  T scale(T v) const { return static_cast<T>(v * alpha); }
+  /// beta != 0: alpha * v + beta * old, with `old` the previous output.
+  T blend(T v, T old) const { return static_cast<T>(alpha * v + beta * old); }
 };
 
 /// Apply the epilogue and store: fetches old output values only when
@@ -37,16 +48,17 @@ inline void store_with_epilogue(Ctx& blk, sim::DeviceBuffer<T> out,
                                 const sim::LaneArray& ga,
                                 sim::LaneValues<T>& v,
                                 const Epilogue<T>& epi) {
-  if (epi.beta != T{0}) {
+  if (epi.reads_out()) {
     sim::LaneValues<T> old{};
     blk.gld(out, ga, old);
     for (std::uint64_t m = ga.active_mask(); m != 0; m &= m - 1) {
       const auto l = static_cast<std::size_t>(std::countr_zero(m));
-      v[l] = epi.alpha * v[l] + epi.beta * old[l];
+      v[l] = epi.blend(v[l], old[l]);
     }
   } else if (epi.alpha != T{1}) {
     for (std::uint64_t m = ga.active_mask(); m != 0; m &= m - 1) {
-      v[static_cast<std::size_t>(std::countr_zero(m))] *= epi.alpha;
+      const auto l = static_cast<std::size_t>(std::countr_zero(m));
+      v[l] = epi.scale(v[l]);
     }
   }
   blk.gst(out, ga, v);

@@ -64,6 +64,8 @@ void Plan::release() {
   if (fb_tex0_.valid()) dev_->try_free(fb_tex0_);
   if (fb_tex1_.valid()) dev_->try_free(fb_tex1_);
   if (fb_tex2_.valid()) dev_->try_free(fb_tex2_);
+  blend_.reset();
+  blend_built_ = false;
   dev_ = nullptr;
 }
 
@@ -81,6 +83,8 @@ void Plan::move_from(Plan& o) {
   last_path_.store(o.last_path_.load());
   exec_mu_ = std::move(o.exec_mu_);
   spec_ = std::move(o.spec_);
+  blend_ = std::move(o.blend_);
+  blend_built_ = std::exchange(o.blend_built_, false);
   fb_oa_ = std::move(o.fb_oa_);
   fb_tex0_ = o.fb_tex0_;
   fb_tex1_ = o.fb_tex1_;
@@ -134,18 +138,24 @@ std::string Plan::describe() const {
   return os.str();
 }
 
+SpecBuildInput Plan::spec_input() const {
+  SpecBuildInput in;
+  in.problem = &problem_;
+  in.sel = &sel_;
+  in.props = &dev_->props();
+  in.tex_base[0] = tex0_.base_addr();
+  in.tex_base[1] = tex1_.base_addr();
+  in.tex_base[2] = tex2_.base_addr();
+  return in;
+}
+
 void Plan::finalize_specialization(bool enabled) {
   spec_.reset();
+  blend_.reset();
+  blend_built_ = false;
   if (enabled && valid() && path_ == ExecPath::kPlanned) {
     telemetry::TraceSpan span("plan.specialize", "planner");
-    SpecBuildInput in;
-    in.problem = &problem_;
-    in.sel = &sel_;
-    in.props = &dev_->props();
-    in.tex_base[0] = tex0_.base_addr();
-    in.tex_base[1] = tex1_.base_addr();
-    in.tex_base[2] = tex2_.base_addr();
-    spec_ = build_spec_program(in);
+    spec_ = build_spec_program(spec_input());
   }
   const SpecTier tier = specialization_tier();
   // Tier counters are always on (robustness-class): whether the fleet
@@ -171,6 +181,22 @@ void Plan::finalize_specialization(bool enabled) {
         std::string("tier=") + to_string(tier) + " schema=" +
             to_string(sel_.schema));
   }
+}
+
+const SpecBlendProgram* Plan::blend_program() const {
+  std::lock_guard<std::mutex> lk(*exec_mu_);
+  if (!blend_built_) {
+    telemetry::TraceSpan span("plan.specialize_blend", "planner");
+    blend_ = build_blend_program(spec_input(), *spec_);
+    blend_built_ = true;
+  }
+  return blend_ ? &*blend_ : nullptr;
+}
+
+SpecTier Plan::blend_tier() const {
+  if (!valid()) return SpecTier::kGeneric;
+  std::lock_guard<std::mutex> lk(*exec_mu_);
+  return blend_ ? spec_->tier : SpecTier::kGeneric;
 }
 
 void Plan::record_execution(const sim::LaunchResult& res,

@@ -15,6 +15,7 @@
 #include <atomic>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <span>
 #include <string>
 #include <utility>
@@ -108,6 +109,12 @@ class Plan {
   SpecTier specialization_tier() const {
     return spec_ ? spec_->tier : SpecTier::kGeneric;
   }
+
+  /// The tier beta != 0 launches run at: the plan's tier once its blend
+  /// program is installed (built on the first beta launch), kGeneric
+  /// before that or when the build was rejected. Identity and alpha-only
+  /// launches always run at specialization_tier().
+  SpecTier blend_tier() const;
 
   /// (Re)run plan-time specialization: compile, verify and install the
   /// stride program for the current selection, or drop back to the
@@ -318,44 +325,69 @@ class Plan {
   /// generic kernel `make_generic(in, out)`, per member. The specialized
   /// body is bit-identical to the generic kernels in outputs, counters
   /// and simulated times (enforced at build time by the program
-  /// verifier) and runs under the identical LaunchConfig; epilogues
-  /// read/scale data the compiled copy tables move verbatim, so only
-  /// identity launches qualify.
+  /// verifier) and runs under the identical LaunchConfig. Identity and
+  /// alpha-only launches replay the identity program; beta != 0
+  /// launches replay the blend program, built on the plan's first beta
+  /// launch, and stay generic when that build was rejected.
   template <class T, class MakeGeneric>
   void dispatch(const LaunchDescriptor<T>& d,
                 std::span<sim::LaunchResult> results, sim::LaunchConfig cfg,
                 const GridDecoder& dec, const MakeGeneric& make_generic) const {
     d.window.apply(cfg);
-    const auto member = [&d](std::int64_t m) -> const MemberPair<T>& {
-      return d.members[static_cast<std::size_t>(m)];
-    };
-    if (!spec_ || !d.epi.is_identity()) {
+    const auto run = [&](const auto& make_kernel) {
       dev_->launch_members(
           [&](std::int64_t m) {
-            return make_generic(member(m).first, member(m).second);
+            const MemberPair<T>& p = d.members[static_cast<std::size_t>(m)];
+            return make_kernel(p.first, p.second);
           },
           cfg, results);
+    };
+    const SpecBlendProgram* blend =
+        spec_ && d.epi.reads_out() ? blend_program() : nullptr;
+    if (!spec_ || (d.epi.reads_out() && !blend)) {
+      run(make_generic);
       return;
     }
     TTLG_ASSERT(spec_->elem_size == static_cast<int>(sizeof(T)),
                 "stride program element width mismatch");
-    const SpecProgram* prog = spec_.get();
-    if (prog->tier == SpecTier::kAffineBulk) {
-      dev_->launch_members(
-          [&](std::int64_t m) {
-            return SpecializedKernel<T, true>{prog, &dec, member(m).first,
-                                              member(m).second};
-          },
-          cfg, results);
+    if (spec_->tier == SpecTier::kAffineBulk) {
+      dispatch_specialized<T, true>(d.epi, dec, blend, run);
     } else {
-      dev_->launch_members(
-          [&](std::int64_t m) {
-            return SpecializedKernel<T, false>{prog, &dec, member(m).first,
-                                               member(m).second};
-          },
-          cfg, results);
+      dispatch_specialized<T, false>(d.epi, dec, blend, run);
     }
   }
+
+  /// The specialized body for the descriptor's epilogue, handed to
+  /// dispatch's `run`.
+  template <class T, bool Affine, class Run>
+  void dispatch_specialized(const Epilogue<T>& epi, const GridDecoder& dec,
+                            const SpecBlendProgram* blend,
+                            const Run& run) const {
+    using Buf = sim::DeviceBuffer<T>;
+    const SpecProgram* prog = spec_.get();
+    if (epi.is_identity()) {
+      run([&](Buf in, Buf out) {
+        return SpecializedKernel<T, Affine>{prog, &dec, in, out};
+      });
+    } else if (!epi.reads_out()) {
+      run([&](Buf in, Buf out) {
+        return SpecializedKernel<T, Affine, SpecEpi::kScale>{prog, &dec, in,
+                                                             out, epi};
+      });
+    } else {
+      run([&](Buf in, Buf out) {
+        return SpecializedKernel<T, Affine, SpecEpi::kBlend>{
+            prog, &dec, in, out, epi, blend};
+      });
+    }
+  }
+
+  /// The plan's blend program, built from spec_ on the first call
+  /// (under exec_mu_, once per plan); null when the build was rejected.
+  /// Requires spec_.
+  const SpecBlendProgram* blend_program() const;
+  /// The stride-program compiler's view of this plan.
+  SpecBuildInput spec_input() const;
 
   /// validate_launch's non-template halves: the window lies inside the
   /// planned grid; one member's buffers hold the tensor volume, do not
@@ -392,6 +424,11 @@ class Plan {
   // Shared so moved-from plans and copies of the launch path never
   // dangle; the program itself stores no pointers into sel_.
   std::shared_ptr<const SpecProgram> spec_;
+  // Program of beta != 0 launches, derived from spec_ on the first such
+  // launch (blend_program()) under exec_mu_; blend_built_ is set once the
+  // build ran, whether it produced a program or rejected the plan.
+  mutable std::optional<SpecBlendProgram> blend_;
+  mutable bool blend_built_ = false;
   double plan_wall_s_ = 0;
 
   ExecPath path_ = ExecPath::kPlanned;

@@ -111,8 +111,9 @@ class RecordingCtx {
     const int active = lanes.active_count();
     if (active == 0) return;
     if (buf.base_addr() != kRecInBase) {
-      // Only identity-epilogue plans specialize, so the sole global
-      // load target is the input buffer (no beta read-back of out).
+      // Programs are recorded with the identity epilogue, so the sole
+      // global load target is the input buffer; the beta read-back of
+      // out is derived from the store ops (build_blend_program).
       ok_ = false;
       return;
     }
@@ -227,7 +228,7 @@ class RecordingCtx {
   /// them per block from the run/offset shape in closed form.
   void record_gop(bool is_load, const sim::LaneArray& lanes,
                   std::int64_t rel_base, std::int64_t elem_size) {
-    std::array<std::int64_t, kWarpSize> addrs;
+    std::array<std::int64_t, kWarpSize> addrs{};
     int n = 0;
     for (std::uint64_t m = lanes.active_mask(); m != 0; m &= m - 1)
       addrs[static_cast<std::size_t>(n++)] = lanes[std::countr_zero(m)];
@@ -308,18 +309,19 @@ Index grid_blocks_for(const KernelSelection& sel) {
 
 /// Run the planned generic kernel body for one block against any
 /// context (the recorder or a real BlockCtx for the self-check), with
-/// the identity epilogue and synthetic in/out views. Texture views are
+/// the given epilogue and synthetic in/out views. Texture views are
 /// bound to the plan's REAL offset arrays at the plan's device
 /// addresses so recorded lines match execution.
 template <class T, class Ctx>
-void run_generic_block(const SpecBuildInput& bi, Ctx& ctx) {
+void run_generic_block(const SpecBuildInput& bi, Ctx& ctx,
+                       const Epilogue<T>& epi = {}) {
   const KernelSelection& sel = *bi.sel;
   const Index vol = bi.problem->volume();
   const sim::DeviceBuffer<T> in(kRecInBase, nullptr, vol);
   const sim::DeviceBuffer<T> out(kRecOutBase, nullptr, vol);
   switch (sel.schema) {
     case Schema::kFviMatchSmall:
-      FviSmallKernel<T>{sel.fvi_small, in, out}(ctx);
+      FviSmallKernel<T>{sel.fvi_small, in, out, epi}(ctx);
       return;
     case Schema::kOrthogonalDistinct: {
       const OdConfig& k = sel.od;
@@ -329,7 +331,7 @@ void run_generic_block(const SpecBuildInput& bi, Ctx& ctx) {
       const sim::DeviceBuffer<Index> t1(
           bi.tex_base[1], const_cast<Index*>(k.out_offset.data()),
           static_cast<Index>(k.out_offset.size()));
-      OdKernel<T>{k, in, out, t0, t1}(ctx);
+      OdKernel<T>{k, in, out, t0, t1, epi}(ctx);
       return;
     }
     case Schema::kOrthogonalArbitrary: {
@@ -343,11 +345,11 @@ void run_generic_block(const SpecBuildInput& bi, Ctx& ctx) {
       const sim::DeviceBuffer<Index> t2(
           bi.tex_base[2], const_cast<Index*>(k.sm_out_offset.data()),
           static_cast<Index>(k.sm_out_offset.size()));
-      OaKernel<T>{k, in, out, t0, t1, t2}(ctx);
+      OaKernel<T>{k, in, out, t0, t1, t2, epi}(ctx);
       return;
     }
     default:
-      FviLargeKernel<T>{sel.fvi_large, in, out}(ctx);
+      FviLargeKernel<T>{sel.fvi_large, in, out, epi}(ctx);
       return;
   }
 }
@@ -384,11 +386,14 @@ bool programs_equal(const ClassProgram& a, const ClassProgram& b) {
 }
 
 /// Per-block transaction replay used by the build-time self-check (the
-/// execution path in spec_exec.hpp carries the same arithmetic).
+/// execution path in spec_exec.hpp carries the same arithmetic): the
+/// class delta plus every op's closed form; `read_back` charges each
+/// store once more as a load of out (the beta epilogue).
 sim::LaunchCounters replay_counters(const SpecProgram& prog,
                                     const ClassProgram& cp,
-                                    const GridEntry& e) {
-  sim::LaunchCounters c = cp.const_delta;
+                                    const sim::LaunchCounters& delta,
+                                    const GridEntry& e, bool read_back) {
+  sim::LaunchCounters c = delta;
   const std::int64_t es = prog.elem_size;
   const std::int64_t in0 = kRecInBase + e.in_base * es;
   const std::int64_t out0 = kRecOutBase + e.out_base * es;
@@ -402,6 +407,7 @@ sim::LaunchCounters replay_counters(const SpecProgram& prog,
                   base, cp.byte_deltas.data() + op.delta_off, op.delta_len,
                   prog.txn_bytes);
     (op.is_load ? c.gld_transactions : c.gst_transactions) += t;
+    if (read_back && !op.is_load) c.gld_transactions += t;
   }
   c.grid_blocks = 0;  // geometry belongs to the launch engine
   return c;
@@ -460,12 +466,32 @@ void compress_copies(ClassProgram& cp) {
   }
 }
 
+/// The grid layout the block classes live in: extents of the two
+/// chunk slots and the number of outer iterations (0 when the grid is
+/// not a whole number of chunk planes).
+struct RepLayout {
+  Index s0 = 1;
+  Index s1 = 1;
+  Index outer = 0;
+};
+
+RepLayout rep_layout(const KernelSelection& sel) {
+  const GridDecoder& dec = decoder_for(sel);
+  const Index grid = grid_blocks_for(sel);
+  RepLayout l;
+  l.s0 = dec.slots() >= 1 ? dec.slot_extent(0) : 1;
+  l.s1 = dec.slots() >= 2 ? dec.slot_extent(1) : 1;
+  if (grid > 0 && grid % (l.s0 * l.s1) == 0) l.outer = grid / (l.s0 * l.s1);
+  return l;
+}
+
 /// Representative block ids for class c (1-3 blocks): first match, a
 /// second one varying a chunk coordinate when the class has more than
 /// one, and one in the next outer iteration when the grid repeats.
 /// Empty means the class never occurs in this grid.
-std::vector<Index> class_rep_bids(int c, const SpecProgram& p, Index s0,
-                                  Index s1, Index outer) {
+std::vector<Index> class_rep_bids(int c, const SpecProgram& p,
+                                  const RepLayout& l) {
+  const Index s0 = l.s0, s1 = l.s1, outer = l.outer;
   const auto cands = [](bool partial, Index chunks, Index rem) {
     std::vector<Index> v;
     if (partial) {
@@ -504,14 +530,19 @@ ClassProgram record_block(const SpecBuildInput& bi, Index bid, bool* ok) {
 /// real count-only BlockCtx (texture record-and-replay mode) and demand
 /// the program replay reproduces its counters and texture-line sequence
 /// exactly. For affine classes the phase tables must agree with the
-/// per-op replay as well.
+/// per-op replay as well. With `blend` the generic kernel runs a beta
+/// != 0 epilogue (values are irrelevant in count-only mode) and the
+/// replay uses the blend program's deltas and read-back charges.
 template <class T>
 bool self_check_block(const SpecBuildInput& bi, const SpecProgram& prog,
-                      Index bid) {
+                      Index bid, const SpecBlendProgram* blend) {
   const GridDecoder& dec = decoder_for(*bi.sel);
   const GridEntry e = dec.decode(bid);
-  const ClassProgram& cp = prog.cls[prog.class_of(e)];
+  const int c = prog.class_of(e);
+  const ClassProgram& cp = prog.cls[c];
   if (!cp.present) return false;
+  const sim::LaunchCounters& delta =
+      blend ? blend->const_delta[c] : cp.const_delta;
 
   sim::LaunchCounters ref;
   sim::TextureCache scratch(bi.props->tex_cache_lines, bi.props->tex_line_bytes);
@@ -519,10 +550,12 @@ bool self_check_block(const SpecBuildInput& bi, const SpecProgram& prog,
   sim::BlockCtx blk(bid, block_threads_for(*bi.sel), sim::ExecMode::kCountOnly,
                     *bi.props, ref, nullptr, smem_elems_for(*bi.sel), scratch,
                     &ref_log, nullptr);
-  run_generic_block<T>(bi, blk);
+  run_generic_block<T>(bi, blk,
+                       blend ? Epilogue<T>{T{1}, T{1}} : Epilogue<T>{});
   ref.grid_blocks = 0;
 
-  const sim::LaunchCounters got = replay_counters(prog, cp, e);
+  const sim::LaunchCounters got =
+      replay_counters(prog, cp, delta, e, blend != nullptr);
   if (!counters_equal(ref, got)) return false;
 
   if (ref_log.size() != cp.tex_lines.size()) return false;
@@ -538,9 +571,22 @@ bool self_check_block(const SpecBuildInput& bi, const SpecProgram& prog,
       ld = cp.gld_phase[static_cast<std::size_t>((kRecInBase + e.in_base * es) & pm)];
     if (!cp.gst_phase.empty())
       st = cp.gst_phase[static_cast<std::size_t>((kRecOutBase + e.out_base * es) & pm)];
-    if (ld != got.gld_transactions - cp.const_delta.gld_transactions ||
-        st != got.gst_transactions - cp.const_delta.gst_transactions)
+    if (blend) ld += st;
+    if (ld != got.gld_transactions - delta.gld_transactions ||
+        st != got.gst_transactions - delta.gst_transactions)
       return false;
+  }
+  return true;
+}
+
+/// self_check_block over every representative of every class present.
+template <class T>
+bool self_check_all(const SpecBuildInput& bi, const SpecProgram& prog,
+                    const RepLayout& l, const SpecBlendProgram* blend) {
+  for (int c = 0; c < 4; ++c) {
+    if (!prog.cls[c].present) continue;
+    for (Index bid : class_rep_bids(c, prog, l))
+      if (!self_check_block<T>(bi, prog, bid, blend)) return false;
   }
   return true;
 }
@@ -583,20 +629,16 @@ std::shared_ptr<const SpecProgram> build_impl(const SpecBuildInput& bi) {
   // (bid % a_chunks, bid / a_chunks % b_chunks) when the grid's first
   // two slots ARE the chunk dimensions. Verify that layout instead of
   // assuming it.
-  const GridDecoder& dec = decoder_for(sel);
-  const Index grid = grid_blocks_for(sel);
-  const Index s0 = dec.slots() >= 1 ? dec.slot_extent(0) : 1;
-  const Index s1 = dec.slots() >= 2 ? dec.slot_extent(1) : 1;
-  if (s0 != prog->a_chunks || s1 != prog->b_chunks || grid <= 0 ||
-      grid % (s0 * s1) != 0) {
+  const RepLayout layout = rep_layout(sel);
+  if (layout.s0 != prog->a_chunks || layout.s1 != prog->b_chunks ||
+      layout.outer == 0) {
     count_reject("layout");
     return nullptr;
   }
-  const Index outer = grid / (s0 * s1);
 
   bool all_affine = true;
   for (int c = 0; c < 4; ++c) {
-    const auto reps = class_rep_bids(c, *prog, s0, s1, outer);
+    const auto reps = class_rep_bids(c, *prog, layout);
     if (reps.empty()) continue;
     bool ok = false;
     ClassProgram first = record_block<T>(bi, reps[0], &ok);
@@ -638,19 +680,48 @@ std::shared_ptr<const SpecProgram> build_impl(const SpecBuildInput& bi) {
   }
 
   // Ground-truth self-check on every class representative.
-  for (int c = 0; c < 4; ++c) {
-    if (!prog->cls[c].present) continue;
-    for (Index bid : class_rep_bids(c, *prog, s0, s1, outer)) {
-      if (!self_check_block<T>(bi, *prog, bid)) {
-        count_reject("self_check");
-        return nullptr;
-      }
-    }
+  if (!self_check_all<T>(bi, *prog, layout, nullptr)) {
+    count_reject("self_check");
+    return nullptr;
   }
 
   prog->tier = all_affine && txn_pow2 ? SpecTier::kAffineBulk
                                       : SpecTier::kStrideProgram;
   return prog;
+}
+
+template <class T>
+std::optional<SpecBlendProgram> build_blend_impl(const SpecBuildInput& bi,
+                                                 const SpecProgram& base) {
+  SpecBlendProgram blend;
+  for (int c = 0; c < 4; ++c) {
+    const ClassProgram& cp = base.cls[c];
+    if (!cp.present) continue;
+    // The copy table holds one entry per active store lane, the store
+    // ops their distinct addresses: equal counts mean no store op
+    // writes an element twice, so blending in place is exact.
+    std::int64_t stored = static_cast<std::int64_t>(cp.copy_dst.size());
+    if (cp.use_run_copies) {
+      stored = 0;
+      for (const SpecRunCopy& rc : cp.run_copies) stored += rc.n;
+    }
+    std::int64_t distinct = 0;
+    for (const SpecGlobalOp& op : cp.gops)
+      if (!op.is_load) distinct += op.nlanes;
+    if (stored != distinct) {
+      count_reject("blend_alias");
+      return std::nullopt;
+    }
+    blend.const_delta[c] = cp.const_delta;
+    blend.const_delta[c].payload_bytes +=
+        stored * static_cast<std::int64_t>(sizeof(T));
+  }
+  if (!self_check_all<T>(bi, base, rep_layout(*bi.sel), &blend)) {
+    count_reject("blend_self_check");
+    return std::nullopt;
+  }
+  telemetry::MetricsRegistry::global().counter("plan.spec.blend_built").inc();
+  return blend;
 }
 
 }  // namespace
@@ -666,6 +737,18 @@ std::shared_ptr<const SpecProgram> build_spec_program(const SpecBuildInput& in) 
     default:
       count_reject("width");
       return nullptr;
+  }
+}
+
+std::optional<SpecBlendProgram> build_blend_program(const SpecBuildInput& in,
+                                                    const SpecProgram& base) {
+  TTLG_CHECK(in.problem != nullptr && in.sel != nullptr && in.props != nullptr,
+             "build_blend_program: null input");
+  switch (base.elem_size) {
+    case 1: return build_blend_impl<std::uint8_t>(in, base);
+    case 2: return build_blend_impl<std::uint16_t>(in, base);
+    case 4: return build_blend_impl<float>(in, base);
+    default: return build_blend_impl<double>(in, base);
   }
 }
 

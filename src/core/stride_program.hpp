@@ -27,10 +27,19 @@
 // or a program too big to amortize — degrades the plan to the generic
 // per-lane path (tier kGeneric), mirroring the kGridTableMaxBlocks
 // fallback policy.
+//
+// Programs are recorded with the identity epilogue. An alpha-only
+// epilogue charges no events, so its launches replay the same program
+// with the copy scaled. A beta != 0 epilogue reads `out` back at every
+// store's lanes: its program (SpecBlendProgram) is derived from the
+// identity program on a plan's first beta launch, shares its tables,
+// and passes the same ground-truth self-check against the generic
+// kernel with the beta epilogue before it is used.
 #pragma once
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "core/grid_decode.hpp"
@@ -153,6 +162,27 @@ struct SpecBuildInput {
 /// footprint over kSpecProgramMaxBytes, unsupported element width).
 /// Rejection reasons are exported as plan.spec.reject.* counters.
 std::shared_ptr<const SpecProgram> build_spec_program(const SpecBuildInput& in);
+
+/// The beta != 0 epilogue program of a plan, run together with its
+/// identity program. Each store op is preceded by a load of `out` at
+/// the same lanes, so per block the loads add the stores' transactions
+/// (same closed forms and phase tables, on the out base) and the class
+/// payload grows by the stores' payload. Only the per-class counter
+/// deltas are new; op lists and copy tables are the identity program's.
+struct SpecBlendProgram {
+  /// cls[c].const_delta of the identity program plus the read-back
+  /// payload of class c.
+  sim::LaunchCounters const_delta[4];
+};
+
+/// Derive the beta program from the plan's verified identity program
+/// `base` (built from the same input), or nullopt when a store op
+/// writes one element twice (an in-place blend would then read its own
+/// write) or the self-check disagrees with the generic kernel.
+/// Rejections count under plan.spec.reject.blend_*; a derived program
+/// counts as plan.spec.blend_built.
+std::optional<SpecBlendProgram> build_blend_program(const SpecBuildInput& in,
+                                                    const SpecProgram& base);
 
 /// TTLG_SPECIALIZE master switch: unset or anything but "0" enables.
 bool specialization_enabled_by_env();

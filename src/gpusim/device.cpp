@@ -38,12 +38,13 @@ bool Device::default_pattern_cache() {
   return on;
 }
 
-std::byte* Device::allocate_bytes(std::int64_t bytes) {
+std::byte* Device::allocate_bytes(std::int64_t bytes, bool zero) {
   check_injected_alloc_fault(bytes);
   Allocation a;
   a.bytes = bytes;
-  a.storage = std::make_unique<std::byte[]>(
-      static_cast<std::size_t>(std::max<std::int64_t>(bytes, 1)));
+  const auto n = static_cast<std::size_t>(std::max<std::int64_t>(bytes, 1));
+  a.storage = zero ? std::make_unique<std::byte[]>(n)
+                   : std::make_unique_for_overwrite<std::byte[]>(n);
   std::byte* p = a.storage.get();
   std::lock_guard<std::mutex> lk(alloc_mu_);
   const std::int64_t base = next_addr_;

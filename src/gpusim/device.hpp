@@ -107,14 +107,11 @@ class Device {
   void set_pattern_cache(bool on) { pattern_cache_ = on; }
   bool pattern_cache() const { return pattern_cache_; }
 
-  /// Allocate `n` elements of T in simulated device memory.
+  /// Allocate `n` zero-filled elements of T in simulated device memory
+  /// (a beta != 0 launch into a fresh output reads those zeros).
   template <class T>
   DeviceBuffer<T> alloc(std::int64_t n) {
-    TTLG_CHECK(n >= 0, "negative allocation size");
-    const std::int64_t bytes = n * static_cast<std::int64_t>(sizeof(T));
-    std::byte* p = allocate_bytes(bytes);
-    const std::int64_t base = base_of(p);
-    return DeviceBuffer<T>(base, reinterpret_cast<T*>(p), n);
+    return alloc_impl<T>(n, /*zero=*/true);
   }
 
   /// Allocate a buffer handle WITHOUT backing storage: valid for
@@ -133,7 +130,9 @@ class Device {
   /// time, matching the paper's measurement methodology).
   template <class T>
   DeviceBuffer<T> alloc_copy(std::span<const T> host) {
-    auto buf = alloc<T>(static_cast<std::int64_t>(host.size()));
+    // Every byte is overwritten at once: skip the zero fill.
+    auto buf = alloc_impl<T>(static_cast<std::int64_t>(host.size()),
+                             /*zero=*/false);
     std::copy(host.begin(), host.end(), buf.data());
     return buf;
   }
@@ -457,7 +456,15 @@ class Device {
   /// only entered when the injector is armed).
   void check_injected_launch_faults(const LaunchConfig& cfg) const;
 
-  std::byte* allocate_bytes(std::int64_t bytes);
+  template <class T>
+  DeviceBuffer<T> alloc_impl(std::int64_t n, bool zero) {
+    TTLG_CHECK(n >= 0, "negative allocation size");
+    const std::int64_t bytes = n * static_cast<std::int64_t>(sizeof(T));
+    std::byte* p = allocate_bytes(bytes, zero);
+    const std::int64_t base = base_of(p);
+    return DeviceBuffer<T>(base, reinterpret_cast<T*>(p), n);
+  }
+  std::byte* allocate_bytes(std::int64_t bytes, bool zero);
   std::int64_t register_virtual(std::int64_t bytes);
   std::int64_t base_of(const std::byte* p) const;
   void free_base(std::int64_t base);

@@ -3,8 +3,9 @@
 // into one super-grid dispatch must be BIT-IDENTICAL to N individual
 // execute() calls — per-member outputs, every per-member
 // LaunchCounters field, and the per-member simulated times — across
-// all kernel schemas, element widths, thread counts and pattern-cache
-// settings; aggregate counters must be exactly additive. Directed
+// all kernel schemas, element widths, thread counts, pattern-cache
+// settings and epilogues (identity, alpha-only, alpha/beta); aggregate
+// counters must be exactly additive. Directed
 // tests pin the fallback ladder: a retryable fused failure re-runs the
 // per-member loop, and a mid-loop member failure's classified Status
 // names the failing member index and the completed count; and the
@@ -83,20 +84,33 @@ const std::vector<Case>& schema_cases() {
 
 constexpr int kMembers = 3;
 
+enum class Epi { kIdentity, kAlphaOnly, kAlphaBeta };
+
+template <class T>
+Epilogue<T> make_epilogue(Epi e) {
+  if (e == Epi::kIdentity) return {};
+  const T alpha = std::is_integral_v<T> ? T(3) : T(2.5);
+  if (e == Epi::kAlphaOnly) return {alpha, T(0)};
+  if constexpr (std::is_integral_v<T>) return {alpha, T(7)};
+  else return {alpha, T(-0.5)};
+}
+
 /// One fused-vs-singles differential at a fixed configuration: build
 /// the plan once, run kMembers individual executes, then the same
-/// members (fresh output buffers) through the fused engine, and demand
-/// bit-identity everywhere.
+/// members (fresh output buffers holding the same previous outputs)
+/// through the fused engine, and demand bit-identity everywhere.
 template <class T>
 void run_battery(const Case& c, bool specialize, int nthreads,
-                 bool pattern_cache) {
+                 bool pattern_cache, Epi epi_kind = Epi::kIdentity) {
   const Shape shape(c.ext);
   const Permutation perm(c.perm);
+  const Epilogue<T> epi = make_epilogue<T>(epi_kind);
   const std::string what =
       shape.to_string() + perm.to_string() + " w" +
       std::to_string(sizeof(T)) + " t" + std::to_string(nthreads) +
       (pattern_cache ? " pc" : " nopc") +
-      (specialize ? " spec" : " gen");
+      (specialize ? " spec" : " gen") + " epi" +
+      std::to_string(static_cast<int>(epi_kind));
 
   sim::Device dev;
   dev.set_num_threads(nthreads);
@@ -108,29 +122,40 @@ void run_battery(const Case& c, bool specialize, int nthreads,
   const Plan plan = make_plan(dev, shape, perm, opts);
   ASSERT_FALSE(plan.degraded()) << what;
 
-  std::vector<std::vector<T>> hosts;
+  std::vector<std::vector<T>> hosts, priors;
   std::vector<sim::DeviceBuffer<T>> ins, outs_single, outs_fused;
   for (int m = 0; m < kMembers; ++m) {
     Rng rng(1217 + static_cast<std::uint64_t>(m));
     std::vector<T> h(static_cast<std::size_t>(shape.volume()));
+    std::vector<T> prior(h.size());
     fill_random_elems(rng, h);
+    fill_random_elems(rng, prior);
     ins.push_back(dev.alloc_copy<T>(h));
-    outs_single.push_back(dev.alloc<T>(shape.volume()));
-    outs_fused.push_back(dev.alloc<T>(shape.volume()));
+    outs_single.push_back(dev.alloc_copy<T>(prior));
+    outs_fused.push_back(dev.alloc_copy<T>(prior));
     hosts.push_back(std::move(h));
+    priors.push_back(std::move(prior));
   }
 
   std::vector<sim::LaunchResult> singles;
   for (int m = 0; m < kMembers; ++m)
     singles.push_back(plan.execute<T>(ins[static_cast<std::size_t>(m)],
-                                      outs_single[static_cast<std::size_t>(m)]));
+                                      outs_single[static_cast<std::size_t>(m)],
+                                      epi.alpha, epi.beta));
 
   std::vector<std::pair<sim::DeviceBuffer<T>, sim::DeviceBuffer<T>>> batch;
   for (int m = 0; m < kMembers; ++m)
     batch.emplace_back(ins[static_cast<std::size_t>(m)],
                        outs_fused[static_cast<std::size_t>(m)]);
-  const BatchedResult res = run_batched<T>(plan, batch);
+  const BatchedResult res = run_batched<T>(plan, batch, epi.alpha, epi.beta);
   EXPECT_TRUE(res.fused) << what;
+  if (specialize) {
+    // The differential is at the specialized tier, beta launches too.
+    EXPECT_NE(plan.specialization_tier(), SpecTier::kGeneric) << what;
+    if (epi_kind == Epi::kAlphaBeta) {
+      EXPECT_EQ(plan.blend_tier(), plan.specialization_tier()) << what;
+    }
+  }
   ASSERT_EQ(res.per_member.size(), static_cast<std::size_t>(kMembers));
   ASSERT_EQ(res.per_call_s.size(), static_cast<std::size_t>(kMembers));
 
@@ -147,11 +172,19 @@ void run_battery(const Case& c, bool specialize, int nthreads,
     // against the host oracle (identical-but-wrong must not pass).
     Tensor<T> host_in(shape);
     host_in.vec() = hosts[mi];
-    const Tensor<T> expected = host_transpose(host_in, perm);
+    const Tensor<T> permuted = host_transpose(host_in, perm);
     for (Index i = 0; i < shape.volume(); ++i) {
+      const T x = permuted.at(i);
+      const T old = priors[mi][static_cast<std::size_t>(i)];
+      const T want =
+          epi_kind == Epi::kIdentity    ? x
+          : epi_kind == Epi::kAlphaOnly ? static_cast<T>(x * epi.alpha)
+                                        : static_cast<T>(epi.alpha * x +
+                                                         epi.beta * old);
       ASSERT_EQ(bits_of<T>(outs_fused[mi][i]), bits_of<T>(outs_single[mi][i]))
           << who << " elem " << i;
-      ASSERT_EQ(outs_fused[mi][i], expected.at(i)) << who << " elem " << i;
+      ASSERT_EQ(bits_of<T>(outs_fused[mi][i]), bits_of<T>(want))
+          << who << " elem " << i;
     }
     sum += singles[mi].counters;
     time_sum += singles[mi].time_s;
@@ -180,6 +213,19 @@ TEST_P(BatchedDifferential, FusedMatchesSinglesBitForBit) {
         run_battery<float>(c, specialize, nthreads, pc);
         run_battery<double>(c, specialize, nthreads, pc);
       }
+}
+
+TEST_P(BatchedDifferential, FusedEpiloguesMatchSinglesBitForBit) {
+  const Case& c = schema_cases()[static_cast<std::size_t>(GetParam())];
+  for (const Epi epi : {Epi::kAlphaOnly, Epi::kAlphaBeta})
+    for (const bool specialize : {false, true})
+      for (const int nthreads : {1, 3, 8})
+        for (const bool pc : {false, true}) {
+          run_battery<std::uint8_t>(c, specialize, nthreads, pc, epi);
+          run_battery<std::uint16_t>(c, specialize, nthreads, pc, epi);
+          run_battery<float>(c, specialize, nthreads, pc, epi);
+          run_battery<double>(c, specialize, nthreads, pc, epi);
+        }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllSchemas, BatchedDifferential,

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <set>
 #include <thread>
@@ -151,6 +152,70 @@ TEST(Concurrency, SharedPlanCacheHammer) {
             static_cast<std::int64_t>(kThreads) * kIters);
   EXPECT_EQ(stats.failures, 0);
   EXPECT_EQ(cache.size(), keys.size());
+}
+
+TEST(Concurrency, FirstBetaLaunchOnASharedPlanBuildsItsProgramOnce) {
+  // Several threads make the first beta != 0 launch on one plan shared
+  // through the PlanCache at the same moment: the blend program must be
+  // built exactly once, and every result must be bit-identical to the
+  // same launch on a generic plan.
+  sim::Device dev;
+  dev.set_num_threads(1);
+  PlanCache cache;
+  const Shape shape({40, 9, 40});
+  const Permutation perm({2, 1, 0});
+  Tensor<double> host(shape);
+  host.fill_random(21);
+  Tensor<double> prior(perm.apply(shape));
+  prior.fill_random(22);
+  const auto in = dev.alloc_copy<double>(host.vec());
+
+  PlanOptions generic;
+  generic.specialize = false;
+  const Plan ref_plan = make_plan(dev, shape, perm, generic);
+  auto ref_out = dev.alloc_copy<double>(prior.vec());
+  const auto ref = ref_plan.execute<double>(in, ref_out, 2.0, 0.5);
+
+  const auto plan = cache.get_shared(dev, shape, perm);  // no beta launch yet
+  ASSERT_NE(plan->specialization_tier(), SpecTier::kGeneric);
+  ASSERT_EQ(plan->blend_tier(), SpecTier::kGeneric);
+  auto& built = telemetry::MetricsRegistry::global().counter(
+      "plan.spec.blend_built");
+  const std::int64_t before = built.value();
+
+  constexpr int kThreads = 6;
+  std::vector<sim::DeviceBuffer<double>> outs;
+  for (int t = 0; t < kThreads; ++t)
+    outs.push_back(dev.alloc_copy<double>(prior.vec()));
+  std::atomic<int> ready{0};
+  std::atomic<int> failures{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      const auto shared = cache.get_shared(dev, shape, perm);
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) std::this_thread::yield();
+      const auto out = outs[static_cast<std::size_t>(t)];
+      const auto res = shared->execute<double>(in, out, 2.0, 0.5);
+      bool same = std::bit_cast<std::uint64_t>(res.time_s) ==
+                      std::bit_cast<std::uint64_t>(ref.time_s) &&
+                  res.counters.gld_transactions ==
+                      ref.counters.gld_transactions &&
+                  res.counters.gst_transactions ==
+                      ref.counters.gst_transactions &&
+                  res.counters.payload_bytes == ref.counters.payload_bytes &&
+                  res.counters.tex_misses == ref.counters.tex_misses;
+      for (Index i = 0; same && i < shape.volume(); ++i)
+        same = std::bit_cast<std::uint64_t>(out[i]) ==
+               std::bit_cast<std::uint64_t>(ref_out[i]);
+      if (!same) failures.fetch_add(1);
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(built.value(), before + 1);
+  EXPECT_EQ(plan->blend_tier(), plan->specialization_tier());
+  EXPECT_EQ(cache.stats().misses, 1);
 }
 
 TEST(Concurrency, PlanCacheEvictionUnderContention) {

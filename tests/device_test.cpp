@@ -30,6 +30,27 @@ TEST(Device, AllocCopyRoundTrip) {
   EXPECT_EQ(dev.bytes_allocated(), 0);
 }
 
+TEST(Device, AllocZeroFills) {
+  // alloc() must hand out zeros even where the host allocator reuses
+  // freed, dirty memory: a beta != 0 launch into a fresh output reads
+  // it (the server's single-device route does). alloc_copy() may skip
+  // the fill because it overwrites every byte.
+  Device dev;
+  constexpr std::int64_t kBytes = 4096;
+  for (int round = 0; round < 4; ++round) {
+    const std::vector<std::uint8_t> dirty(kBytes, 0xA5);
+    dev.free(dev.alloc_copy<std::uint8_t>(dirty));
+    const auto buf = dev.alloc<std::uint8_t>(kBytes);
+    for (std::int64_t i = 0; i < kBytes; ++i)
+      ASSERT_EQ(buf[i], 0) << "round " << round << " byte " << i;
+    dev.free(buf);
+  }
+  const std::vector<double> host{1.5, -2.0, 3.25};
+  const auto copy = dev.alloc_copy<double>(host);
+  for (std::size_t i = 0; i < host.size(); ++i)
+    EXPECT_EQ(copy[static_cast<std::int64_t>(i)], host[i]);
+}
+
 TEST(Device, DistinctBaseAddresses) {
   Device dev;
   auto a = dev.alloc<double>(100);

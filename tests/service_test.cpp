@@ -350,6 +350,10 @@ TEST(Server, RetriesFaultsWithDeterministicBackoffOnManualClock) {
   // The ladder is disabled so injected launch faults surface to the
   // service retry loop (which replans and relaunches).
   cfg.plan.enable_fallback = false;
+  // Every request launches on its own: a fault on a fused launch fans
+  // out to per-member re-runs without a retry (coalesce_test covers
+  // that path), which would leave the retry loop untested.
+  cfg.coalesce.enabled = false;
   Server server(dev, cfg);
   sim::ScopedFaults faults("seed=5,launch.p=0.45");
   server.start();

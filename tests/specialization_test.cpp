@@ -1,13 +1,14 @@
 // Plan-time kernel specialization (core/stride_program.hpp): the
 // compiled stride-program and affine-bulk tiers must be
 // BIT-IDENTICAL to the generic kernels — outputs, every LaunchCounters
-// field, and the simulated time — at every element width, thread count
-// and pattern-cache setting, including awkward prime and size-1
-// extents. A separate set of directed tests pins that the tiers
-// actually ENGAGE (a builder that rejected everything would pass the
-// differential battery trivially on the generic path), that the tier
-// survives a plan-file round trip, and that a corrupted tier record is
-// classified kDataLoss.
+// field, and the simulated time — at every element width, thread count,
+// pattern-cache setting and epilogue (identity, alpha-only, alpha/beta),
+// including awkward prime and size-1 extents. A separate set of
+// directed tests pins that the tiers actually ENGAGE (a compiler that
+// rejected everything would pass the differential battery trivially on
+// the generic path), beta launches included, that the tier survives a
+// plan-file round trip, and that a corrupted tier record is classified
+// kDataLoss.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -51,28 +52,57 @@ struct Artifacts {
   std::uint64_t time_bits = 0;
   Schema schema = Schema::kCopy;
   SpecTier tier = SpecTier::kGeneric;
+  SpecTier blend_tier = SpecTier::kGeneric;
 };
+
+enum class Epi { kIdentity, kAlphaOnly, kAlphaBeta };
+
+std::string to_string(Epi e) {
+  switch (e) {
+    case Epi::kIdentity: return "identity";
+    case Epi::kAlphaOnly: return "alpha";
+    case Epi::kAlphaBeta: return "alpha-beta";
+  }
+  return "?";
+}
+
+template <class T>
+Epilogue<T> make_epilogue(Epi e) {
+  if (e == Epi::kIdentity) return {};
+  // Integer widths wrap (3 * 200 mod 256); floats round.
+  const T alpha = std::is_integral_v<T> ? T(3) : T(2.5);
+  if (e == Epi::kAlphaOnly) return {alpha, T(0)};
+  if constexpr (std::is_integral_v<T>) return {alpha, T(7)};
+  else return {alpha, T(-0.5)};
+}
 
 template <class T>
 Artifacts run_once(const Shape& shape, const Permutation& perm,
-                   bool specialize, int nthreads, bool pattern_cache) {
+                   bool specialize, int nthreads, bool pattern_cache,
+                   Epi epi_kind = Epi::kIdentity) {
   sim::Device dev;
   dev.set_num_threads(nthreads);
   dev.set_pattern_cache(pattern_cache);
   Tensor<T> host(shape);
   Rng rng(911);
   fill_random_elems(rng, host.vec());
+  // The previous output, which a beta != 0 epilogue reads back.
+  std::vector<T> prior(static_cast<std::size_t>(shape.volume()));
+  fill_random_elems(rng, prior);
   auto in = dev.alloc_copy<T>(host.vec());
-  auto out = dev.alloc<T>(shape.volume());
+  auto out = dev.alloc_copy<T>(prior);
 
   PlanOptions opts;
+  opts.elem_size = static_cast<int>(sizeof(T));
   opts.specialize = specialize;
-  Plan plan;
-  const auto res = transpose<T>(dev, in, out, shape, perm, opts, &plan);
+  const Plan plan = make_plan(dev, shape, perm, opts);
+  const Epilogue<T> epi = make_epilogue<T>(epi_kind);
+  const auto res = plan.execute<T>(in, out, epi.alpha, epi.beta);
 
   Artifacts a;
   a.schema = plan.schema();
   a.tier = plan.specialization_tier();
+  a.blend_tier = plan.blend_tier();
   a.ctr = res.counters;
   a.time_bits = std::bit_cast<std::uint64_t>(res.time_s);
   a.out_bits.reserve(static_cast<std::size_t>(shape.volume()));
@@ -81,14 +111,22 @@ Artifacts run_once(const Shape& shape, const Permutation& perm,
 
   // Ground truth alongside the differential: both paths must also be
   // CORRECT, not merely identical to each other.
-  const Tensor<T> expected = host_transpose(host, perm);
-  for (Index i = 0; i < shape.volume(); ++i)
-    if (out[i] != expected.at(i)) {
+  const Tensor<T> permuted = host_transpose(host, perm);
+  for (Index i = 0; i < shape.volume(); ++i) {
+    const T x = permuted.at(i);
+    const T old = prior[static_cast<std::size_t>(i)];
+    const T want =
+        epi_kind == Epi::kIdentity    ? x
+        : epi_kind == Epi::kAlphaOnly ? static_cast<T>(x * epi.alpha)
+                                      : static_cast<T>(epi.alpha * x +
+                                                       epi.beta * old);
+    if (bits_of<T>(out[i]) != bits_of<T>(want)) {
       ADD_FAILURE() << "wrong output at " << i << " (specialize="
-                    << specialize << ", " << shape.to_string()
-                    << perm.to_string() << ")";
+                    << specialize << ", " << to_string(epi_kind) << ", "
+                    << shape.to_string() << perm.to_string() << ")";
       break;
     }
+  }
   return a;
 }
 
@@ -152,35 +190,47 @@ const std::vector<Case>& awkward_cases() {
   return cases;
 }
 
+/// Specialized vs generic at one configuration. `engaged` collects the
+/// strongest tier the launch ran at: the plan's tier, or for beta
+/// launches the tier of its blend program.
 template <class T>
 void run_battery(const Case& c, int nthreads, bool pattern_cache,
-                 SpecTier* engaged) {
+                 SpecTier* engaged, Epi epi) {
   const Shape shape(c.ext);
   const Permutation perm(c.perm);
   const std::string what =
       shape.to_string() + perm.to_string() + " w" +
       std::to_string(sizeof(T)) + " t" + std::to_string(nthreads) +
-      (pattern_cache ? " pc" : " nopc");
+      (pattern_cache ? " pc " : " nopc ") + to_string(epi);
   const Artifacts gen = run_once<T>(shape, perm, false, nthreads,
-                                    pattern_cache);
+                                    pattern_cache, epi);
   const Artifacts spec = run_once<T>(shape, perm, true, nthreads,
-                                     pattern_cache);
+                                     pattern_cache, epi);
   EXPECT_EQ(gen.tier, SpecTier::kGeneric) << what;
+  EXPECT_EQ(gen.blend_tier, SpecTier::kGeneric) << what;
+  // A specialized plan runs its beta launches on the blend program.
+  if (epi == Epi::kAlphaBeta) {
+    EXPECT_EQ(spec.blend_tier, spec.tier) << what;
+  }
   expect_identical(spec, gen, what);
-  if (engaged && spec.tier > *engaged) *engaged = spec.tier;
+  const SpecTier ran = epi == Epi::kAlphaBeta ? spec.blend_tier : spec.tier;
+  if (engaged && ran > *engaged) *engaged = ran;
 }
 
 void run_battery_sized(const Case& c, int elem_size, int nthreads,
-                       bool pattern_cache, SpecTier* engaged) {
+                       bool pattern_cache, SpecTier* engaged,
+                       Epi epi = Epi::kIdentity) {
   switch (elem_size) {
     case 1:
-      return run_battery<std::uint8_t>(c, nthreads, pattern_cache, engaged);
+      return run_battery<std::uint8_t>(c, nthreads, pattern_cache, engaged,
+                                       epi);
     case 2:
-      return run_battery<std::uint16_t>(c, nthreads, pattern_cache, engaged);
+      return run_battery<std::uint16_t>(c, nthreads, pattern_cache, engaged,
+                                        epi);
     case 4:
-      return run_battery<float>(c, nthreads, pattern_cache, engaged);
+      return run_battery<float>(c, nthreads, pattern_cache, engaged, epi);
     default:
-      return run_battery<double>(c, nthreads, pattern_cache, engaged);
+      return run_battery<double>(c, nthreads, pattern_cache, engaged, epi);
   }
 }
 
@@ -204,6 +254,63 @@ TEST(Specialization, BitIdenticalOnPrimeAndUnitExtents) {
     for (int elem_size : {1, 8})
       for (int nthreads : {1, 4})
         run_battery_sized(c, elem_size, nthreads, true, nullptr);
+}
+
+TEST(Specialization, EpiloguesBitIdenticalAcrossSchemasWidthsThreadsAndCache) {
+  for (const Case& c : schema_cases())
+    for (const Epi epi : {Epi::kAlphaOnly, Epi::kAlphaBeta}) {
+      SpecTier engaged = SpecTier::kGeneric;
+      for (int elem_size : {1, 2, 4, 8})
+        for (int nthreads : {1, 4})
+          for (bool pc : {true, false})
+            run_battery_sized(c, elem_size, nthreads, pc, &engaged, epi);
+      // Beta launches must have run the blend program, not fallen back
+      // to the generic kernels.
+      EXPECT_NE(engaged, SpecTier::kGeneric)
+          << Shape(c.ext).to_string() << Permutation(c.perm).to_string()
+          << " " << to_string(epi);
+    }
+}
+
+TEST(Specialization, EpiloguesBitIdenticalOnPrimeAndUnitExtents) {
+  for (const Case& c : awkward_cases())
+    for (const Epi epi : {Epi::kAlphaOnly, Epi::kAlphaBeta})
+      for (int elem_size : {1, 2, 4, 8})
+        for (int nthreads : {1, 4})
+          for (bool pc : {true, false})
+            run_battery_sized(c, elem_size, nthreads, pc, nullptr, epi);
+}
+
+TEST(Specialization, BlendProgramIsBuiltOnTheFirstBetaLaunchOnly) {
+  // make_plan does no epilogue work; the first beta launch builds the
+  // blend program once, and later beta launches reuse it.
+  auto& built = telemetry::MetricsRegistry::global().counter(
+      "plan.spec.blend_built");
+  sim::Device dev;
+  const Shape shape({40, 9, 40});
+  const Permutation perm({2, 1, 0});
+  const std::int64_t before = built.value();
+  const Plan plan = make_plan(dev, shape, perm);
+  ASSERT_NE(plan.specialization_tier(), SpecTier::kGeneric);
+  auto in = dev.alloc<double>(shape.volume());
+  auto out = dev.alloc<double>(shape.volume());
+  plan.execute<double>(in, out);
+  plan.execute<double>(in, out, 2.0, 0.0);
+  EXPECT_EQ(built.value(), before);
+  EXPECT_EQ(plan.blend_tier(), SpecTier::kGeneric);
+  plan.execute<double>(in, out, 2.0, 0.5);
+  EXPECT_EQ(built.value(), before + 1);
+  EXPECT_EQ(plan.blend_tier(), plan.specialization_tier());
+  plan.execute<double>(in, out, 1.0, 1.0);
+  EXPECT_EQ(built.value(), before + 1);
+
+  // Generic plans never build one.
+  PlanOptions opts;
+  opts.specialize = false;
+  const Plan gen = make_plan(dev, shape, perm, opts);
+  gen.execute<double>(in, out, 2.0, 0.5);
+  EXPECT_EQ(built.value(), before + 1);
+  EXPECT_EQ(gen.blend_tier(), SpecTier::kGeneric);
 }
 
 TEST(Specialization, AffineTierEngagesAndIsCounted) {
@@ -286,36 +393,37 @@ TEST(Specialization, MeasuredPlansSpecializeToo) {
 TEST(Specialization, CountOnlyAndSampledModesMatchToo) {
   // The counter path must agree in count-only mode (virtual buffers, no
   // storage) and under sampled counting, where only representative
-  // blocks execute.
-  for (int sampling : {0, 4}) {
-    sim::LaunchCounters ctr[2];
-    std::uint64_t time_bits[2];
-    for (int s = 0; s < 2; ++s) {
-      sim::Device dev;
-      dev.set_mode(sim::ExecMode::kCountOnly);
-      dev.set_sampling(sampling);
-      auto in = dev.alloc_virtual<double>(40 * 9 * 40);
-      auto out = dev.alloc_virtual<double>(40 * 9 * 40);
-      PlanOptions opts;
-      opts.specialize = s == 1;
-      Plan plan =
-          make_plan(dev, Shape({40, 9, 40}), Permutation({2, 1, 0}), opts);
-      const auto res = plan.execute<double>(in, out);
-      ctr[s] = res.counters;
-      time_bits[s] = std::bit_cast<std::uint64_t>(res.time_s);
+  // blocks execute — for identity and beta launches alike.
+  for (int sampling : {0, 4})
+    for (const double beta : {0.0, 0.5}) {
+      const std::string what = "sampling " + std::to_string(sampling) +
+                               " beta " + std::to_string(beta);
+      sim::LaunchCounters ctr[2];
+      std::uint64_t time_bits[2];
+      for (int s = 0; s < 2; ++s) {
+        sim::Device dev;
+        dev.set_mode(sim::ExecMode::kCountOnly);
+        dev.set_sampling(sampling);
+        auto in = dev.alloc_virtual<double>(40 * 9 * 40);
+        auto out = dev.alloc_virtual<double>(40 * 9 * 40);
+        PlanOptions opts;
+        opts.specialize = s == 1;
+        Plan plan =
+            make_plan(dev, Shape({40, 9, 40}), Permutation({2, 1, 0}), opts);
+        const auto res =
+            plan.execute<double>(in, out, beta == 0 ? 1.0 : 2.0, beta);
+        ctr[s] = res.counters;
+        time_bits[s] = std::bit_cast<std::uint64_t>(res.time_s);
+      }
+      EXPECT_EQ(ctr[0].gld_transactions, ctr[1].gld_transactions) << what;
+      EXPECT_EQ(ctr[0].gst_transactions, ctr[1].gst_transactions) << what;
+      EXPECT_EQ(ctr[0].tex_transactions, ctr[1].tex_transactions) << what;
+      EXPECT_EQ(ctr[0].tex_misses, ctr[1].tex_misses) << what;
+      EXPECT_EQ(ctr[0].smem_bank_conflicts, ctr[1].smem_bank_conflicts)
+          << what;
+      EXPECT_EQ(ctr[0].payload_bytes, ctr[1].payload_bytes) << what;
+      EXPECT_EQ(time_bits[0], time_bits[1]) << what;
     }
-    EXPECT_EQ(ctr[0].gld_transactions, ctr[1].gld_transactions)
-        << "sampling " << sampling;
-    EXPECT_EQ(ctr[0].gst_transactions, ctr[1].gst_transactions)
-        << "sampling " << sampling;
-    EXPECT_EQ(ctr[0].tex_transactions, ctr[1].tex_transactions)
-        << "sampling " << sampling;
-    EXPECT_EQ(ctr[0].tex_misses, ctr[1].tex_misses)
-        << "sampling " << sampling;
-    EXPECT_EQ(ctr[0].smem_bank_conflicts, ctr[1].smem_bank_conflicts)
-        << "sampling " << sampling;
-    EXPECT_EQ(time_bits[0], time_bits[1]) << "sampling " << sampling;
-  }
 }
 
 // ---------------------------------------------------------------------
