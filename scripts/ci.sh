@@ -19,7 +19,9 @@ fault_shakedown() {
 }
 
 echo "== tier-1: configure + build + ctest =="
-cmake -B build -S . -G Ninja
+# Warnings are errors in this tree: the build is warning-free, and
+# -Werror keeps it that way.
+cmake -B build -S . -G Ninja -DTTLG_WERROR=ON
 cmake --build build -j
 ctest --test-dir build --output-on-failure -j "$(nproc)"
 fault_shakedown build

@@ -251,8 +251,8 @@ void Plan::validate_window(const LaunchWindow& win) const {
 }
 
 void Plan::validate_member(Index in_base, Index in_size, bool in_backed,
-                           Index out_base, Index out_size,
-                           bool out_backed) const {
+                           Index out_base, Index out_size, bool out_backed,
+                           sim::ExecMode mode) const {
   TTLG_CHECK(in_size == problem_.volume() && out_size == problem_.volume(),
              "buffer sizes must equal the tensor volume");
   // The library is out-of-place only: every kernel scatters writes while
@@ -265,7 +265,7 @@ void Plan::validate_member(Index in_base, Index in_size, bool in_backed,
              "transpositions are out-of-place only");
   // Count-only sweeps legitimately run on alloc_virtual handles; only
   // functional execution dereferences the storage.
-  if (dev_->mode() == sim::ExecMode::kFunctional)
+  if (mode == sim::ExecMode::kFunctional)
     TTLG_CHECK(in_backed && out_backed,
                "functional execution requires materialized device "
                "buffers (Device::alloc), got a null/virtual handle");

@@ -53,15 +53,17 @@ using MemberPair = std::pair<sim::DeviceBuffer<T>, sim::DeviceBuffer<T>>;
 
 /// Everything one rung-1 launch of a plan needs: the member buffer
 /// pairs (1..N, each computing out = alpha * permute(in) + beta * out),
-/// the block window of the planned grid that every member runs, and
-/// the epilogue. Plan::execute builds a one-member whole-grid
-/// descriptor; fused batches pass N members, shards one member and a
-/// window.
+/// the block window of the planned grid that every member runs, the
+/// epilogue, and the device whose engine runs the launch and holds the
+/// member buffers (null = the plan's own device). Plan::execute builds
+/// a one-member whole-grid descriptor; fused batches pass N members,
+/// shards one member, a window and their own fleet device.
 template <class T>
 struct LaunchDescriptor {
   std::span<const MemberPair<T>> members;
   LaunchWindow window{};
   Epilogue<T> epi{};
+  sim::Device* device = nullptr;
 };
 
 class Plan {
@@ -242,7 +244,11 @@ class Plan {
   /// kUnsupported (retryable) and the caller owns recovery (the
   /// per-member execute() loop, shard failover). `window.tex_capture`
   /// records texture accesses for cross-window replay instead of
-  /// counting local misses (one-member descriptors only).
+  /// counting local misses (one-member descriptors only). A descriptor
+  /// naming another device runs on that device's engine, reading the
+  /// plan's texture arrays and stride program where they are; its
+  /// counters equal a launch on the plan's own device when both devices
+  /// share their counting-relevant DeviceProperties.
   template <class T>
   std::vector<sim::LaunchResult> launch(const LaunchDescriptor<T>& d) const {
     validate_launch(d);
@@ -272,7 +278,13 @@ class Plan {
     validate_window(d.window);
     for (const auto& [in, out] : d.members)
       validate_member(in.base_addr(), in.size(), in.valid(), out.base_addr(),
-                      out.size(), out.valid());
+                      out.size(), out.valid(), launch_device(d).mode());
+  }
+
+  /// The device whose engine runs `d`.
+  template <class T>
+  sim::Device& launch_device(const LaunchDescriptor<T>& d) const {
+    return d.device != nullptr ? *d.device : *dev_;
   }
 
   /// Rung 1 of the ladder — the model-selected kernel — over every
@@ -335,7 +347,7 @@ class Plan {
                 const GridDecoder& dec, const MakeGeneric& make_generic) const {
     d.window.apply(cfg);
     const auto run = [&](const auto& make_kernel) {
-      dev_->launch_members(
+      launch_device(d).launch_members(
           [&](std::int64_t m) {
             const MemberPair<T>& p = d.members[static_cast<std::size_t>(m)];
             return make_kernel(p.first, p.second);
@@ -391,10 +403,12 @@ class Plan {
 
   /// validate_launch's non-template halves: the window lies inside the
   /// planned grid; one member's buffers hold the tensor volume, do not
-  /// alias and, in functional mode, are materialized.
+  /// alias and, when the launching device's `mode` is functional, are
+  /// materialized.
   void validate_window(const LaunchWindow& win) const;
   void validate_member(Index in_base, Index in_size, bool in_backed,
-                       Index out_base, Index out_size, bool out_backed) const;
+                       Index out_base, Index out_size, bool out_backed,
+                       sim::ExecMode mode) const;
   /// True when `win` is the whole planned grid with texture misses
   /// counted in place.
   bool covers_grid(const LaunchWindow& win) const;

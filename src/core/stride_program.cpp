@@ -549,7 +549,7 @@ bool self_check_block(const SpecBuildInput& bi, const SpecProgram& prog,
   std::vector<std::int64_t> ref_log;
   sim::BlockCtx blk(bid, block_threads_for(*bi.sel), sim::ExecMode::kCountOnly,
                     *bi.props, ref, nullptr, smem_elems_for(*bi.sel), scratch,
-                    &ref_log, nullptr);
+                    &ref_log);
   run_generic_block<T>(bi, blk,
                        blend ? Epilogue<T>{T{1}, T{1}} : Epilogue<T>{});
   ref.grid_blocks = 0;

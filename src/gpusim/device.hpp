@@ -99,14 +99,6 @@ class Device {
   void set_num_threads(int n) { num_threads_ = n; }
   int num_threads() const { return num_threads_; }
 
-  /// Memoized access-pattern analysis (transactions, bank conflicts,
-  /// texture-line dedup keyed on the warp's normalized lane pattern —
-  /// pattern_cache.hpp). On by default; TTLG_PATTERN_CACHE=0 flips the
-  /// process-wide default. Counters, outputs and simulated times are
-  /// bit-identical either way.
-  void set_pattern_cache(bool on) { pattern_cache_ = on; }
-  bool pattern_cache() const { return pattern_cache_; }
-
   /// Allocate `n` zero-filled elements of T in simulated device memory
   /// (a beta != 0 launch into a fresh output reads those zeros).
   template <class T>
@@ -221,7 +213,6 @@ class Device {
                nthreads > 1) {
       run_parallel(make_kernel, cfg, results, nthreads);
     } else {
-      const PatternCachePool::Lease pc = pattern_pool_.acquire(pattern_cache_);
       std::vector<std::byte> smem(
           static_cast<std::size_t>(cfg.shared_elems * cfg.elem_size));
       TextureCache tex(props_.tex_cache_lines, props_.tex_line_bytes);
@@ -230,7 +221,7 @@ class Device {
         run_blocks(make_kernel(m), cfg, cfg.block_offset,
                    cfg.block_offset + cfg.grid_blocks,
                    results[static_cast<std::size_t>(m)].counters, smem.data(),
-                   tex, cfg.tex_capture, pc.get());
+                   tex, cfg.tex_capture);
       }
     }
 
@@ -277,10 +268,10 @@ class Device {
   void run_blocks(const Kernel& kernel, const LaunchConfig& cfg,
                   std::int64_t lo, std::int64_t hi, LaunchCounters& ctr,
                   std::byte* smem, TextureCache& tex,
-                  std::vector<std::int64_t>* tex_log, PatternCache* pc) {
+                  std::vector<std::int64_t>* tex_log) {
     for (std::int64_t b = lo; b < hi; ++b) {
       BlockCtx blk(b, cfg.block_threads, mode_, props_, ctr, smem,
-                   cfg.shared_elems, tex, tex_log, pc);
+                   cfg.shared_elems, tex, tex_log);
       kernel(blk);
     }
   }
@@ -324,11 +315,6 @@ class Device {
           const std::int64_t hi = total * (c + 1) / nchunks;
           std::vector<std::byte> smem(
               static_cast<std::size_t>(cfg.shared_elems * cfg.elem_size));
-          // One pattern-cache lease per chunk: no sharing between host
-          // threads, and cached == recomputed keeps totals bit-identical
-          // regardless of which chunk warmed which cache.
-          const PatternCachePool::Lease pc =
-              pattern_pool_.acquire(pattern_cache_);
           std::vector<Segment>& segs = chunks[static_cast<std::size_t>(c)];
           for (std::int64_t b = total * c / nchunks; b < hi;) {
             const std::int64_t m = b / bpm;
@@ -337,7 +323,7 @@ class Device {
             sg.member = m;
             const std::int64_t first = cfg.block_offset + (b - m * bpm);
             run_blocks(make_kernel(m), cfg, first, first + (seg_hi - b),
-                       sg.ctr, smem.data(), tex, &sg.tex_log, pc.get());
+                       sg.ctr, smem.data(), tex, &sg.tex_log);
             b = seg_hi;
           }
         });
@@ -372,7 +358,6 @@ class Device {
   template <class Kernel>
   void run_sampled(const Kernel& kernel, const LaunchConfig& cfg,
                    LaunchCounters& out) {
-    const PatternCachePool::Lease pc = pattern_pool_.acquire(pattern_cache_);
     std::vector<std::byte> smem(
         static_cast<std::size_t>(cfg.shared_elems * cfg.elem_size));
     TextureCache tex(props_.tex_cache_lines, props_.tex_line_bytes);
@@ -406,12 +391,10 @@ class Device {
           // Warm the texture cache so per-class miss rates reflect the
           // steady state, not the launch's cold start.
           LaunchCounters discard;
-          run_blocks(kernel, cfg, b, b + 1, discard, smem.data(), tex,
-                     nullptr, pc.get());
+          run_blocks(kernel, cfg, b, b + 1, discard, smem.data(), tex, nullptr);
           warmed = true;
         }
-        run_blocks(kernel, cfg, b, b + 1, cls, smem.data(), tex, nullptr,
-                   pc.get());
+        run_blocks(kernel, cfg, b, b + 1, cls, smem.data(), tex, nullptr);
       }
       const double scale =
           static_cast<double>(n) / static_cast<double>(samples);
@@ -475,16 +458,10 @@ class Device {
   /// knob: the pool fan-out costs more than the blocks themselves.
   static constexpr std::int64_t kMinParallelBlocks = 4;
 
-  /// Process-wide default for the pattern-cache knob: true unless
-  /// TTLG_PATTERN_CACHE=0 (defined in device.cpp).
-  static bool default_pattern_cache();
-
   DeviceProperties props_;
   ExecMode mode_ = ExecMode::kFunctional;
   int sampling_ = 0;
   int num_threads_ = 0;  ///< 0 = auto (TTLG_THREADS / hardware)
-  bool pattern_cache_ = default_pattern_cache();
-  PatternCachePool pattern_pool_;
   struct Allocation {
     std::unique_ptr<std::byte[]> storage;
     std::int64_t bytes = 0;

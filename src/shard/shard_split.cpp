@@ -71,21 +71,6 @@ GridView grid_view(const TransposeProblem& p, const KernelSelection& sel) {
 
 }  // namespace
 
-Index selection_grid_blocks(const KernelSelection& sel) {
-  switch (sel.schema) {
-    case Schema::kCopy:
-    case Schema::kFviMatchLarge:
-      return sel.fvi_large.grid_blocks;
-    case Schema::kFviMatchSmall:
-      return sel.fvi_small.grid_blocks;
-    case Schema::kOrthogonalDistinct:
-      return sel.od.grid_blocks;
-    case Schema::kOrthogonalArbitrary:
-      return sel.oa.grid_blocks;
-  }
-  return 1;
-}
-
 ShardAxis find_shard_axis(const TransposeProblem& problem,
                           const KernelSelection& sel) {
   const GridView v = grid_view(problem, sel);

@@ -40,10 +40,6 @@ struct ShardAxis {
 ShardAxis find_shard_axis(const TransposeProblem& problem,
                           const KernelSelection& sel);
 
-/// Total blocks of the selection's chosen kernel config (the block-id
-/// space the shards' Plan::launch windows partition).
-Index selection_grid_blocks(const KernelSelection& sel);
-
 /// One shard's slice of the axis: slot coordinates, block-id window
 /// and fused-output dim coordinates (unit-scaled, remainder-clamped).
 struct ShardRange {

@@ -5,15 +5,16 @@
 //
 // Two policies (docs/sharding.md):
 //
-//  - kUniform (default): one kernel selection is pinned against the
-//    REFERENCE device (fleet descriptor 0) and every shard executes a
-//    disjoint block-id window of that single logical grid (a windowed
-//    Plan::launch descriptor). Because block ids stay absolute and the
-//    counting-relevant DeviceProperties are shared by the shipped
-//    profiles, the summed per-shard LaunchCounters — including
-//    tex_misses, reconstructed by replaying the captured texture logs
-//    through one reference cache in shard order — equal the unsharded
-//    launch EXACTLY (fault-free runs on a fresh fleet).
+//  - kUniform (default): ONE plan is made against the REFERENCE device
+//    (fleet descriptor 0), specialized like any make_plan plan, and
+//    every shard launches a disjoint block-id window of its grid on its
+//    own device (a windowed Plan::launch descriptor naming that
+//    device). Because block ids stay absolute and the counting-relevant
+//    DeviceProperties are shared by the shipped profiles, the summed
+//    per-shard LaunchCounters — including tex_misses, reconstructed by
+//    replaying the captured texture logs through one reference cache in
+//    shard order — equal the unsharded launch EXACTLY, failover
+//    included (every window charges the texture lines of the one plan).
 //
 //  - kPerDevice: the split-axis extent is carved into slabs and each
 //    slab is re-planned from scratch on its own device (make_plan with
@@ -25,9 +26,9 @@
 // after EVERY shard succeeded — a failed run never leaves a partially
 // written output. A failed shard batch is retried on the next healthy
 // device (failover) before the run fails classified. Device-side
-// mirrors, slab buffers and window plans are per-run scratch, released
-// on every path: each device's bytes_allocated() returns to its
-// pre-run value.
+// mirrors, slab buffers and the reference plan are per-run scratch,
+// released on every path: each device's bytes_allocated() returns to
+// its pre-run value.
 #pragma once
 
 #include <algorithm>
@@ -88,7 +89,7 @@ struct ShardedResult {
   Index axis_out_pos = -1;  ///< fused-output dim of the split (-1 = unsplit)
   std::vector<ShardExecution> shards;
   /// True when the per-shard counter sum is exact (uniform policy, no
-  /// failover, no sampling).
+  /// sampling).
   bool counters_exact = false;
   double makespan_s = 0;     ///< max over devices: t_in + execs + t_out
   double exec_s = 0;         ///< kernel time only (same max)
@@ -144,7 +145,6 @@ class ShardedExecutor {
   struct DeviceState {
     sim::Device* dev = nullptr;    // device holding the mirrors
     sim::DeviceBuffer<T> in, out;  // device-local mirrors
-    std::unique_ptr<Plan> plan;    // uniform policy window plan
     std::vector<int> shard_ids;    // shards batched on this state
 
     DeviceState() = default;
@@ -251,20 +251,24 @@ ShardedResult ShardedExecutor::run_uniform(const TransposeProblem& problem,
   const int fleet_n = fleet_.size();
   const int requested = opts_.num_shards > 0 ? opts_.num_shards : fleet_n;
 
-  // Pin ONE kernel selection against the reference device; every shard
-  // executes a window of this grid (identical per-block work on every
-  // device — the exact-counters invariant).
+  // Plan ONCE against the reference device; every shard launches a
+  // window of this plan's grid (identical per-block work on every
+  // device — the exact-counters invariant). Without the fallback
+  // ladder: Plan::launch refuses degraded plans as kUnsupported, which
+  // callers do not retry, so a planning fault fails the run with its
+  // own (retryable) code instead.
   PlanOptions popts = opts_.plan;
   popts.elem_size = static_cast<int>(sizeof(T));
-  const PerfModel model(fleet_.device(0).props(), popts.model);
-  const KernelSelection sel = select_kernel(problem, model, popts);
-  const ShardAxis axis = find_shard_axis(problem, sel);
+  popts.enable_fallback = false;
+  const Plan plan =
+      make_plan(fleet_.device(0), problem.shape, problem.perm, popts);
+  const ShardAxis axis = find_shard_axis(problem, plan.selection());
   const std::vector<ShardRange> ranges =
-      partition_axis(axis, requested, selection_grid_blocks(sel));
+      partition_axis(axis, requested, plan.grid_blocks());
   const int n = static_cast<int>(ranges.size());
 
   ShardedResult res;
-  res.schema = sel.schema;
+  res.schema = plan.schema();
   res.policy = ShardPolicy::kUniform;
   res.requested_shards = requested;
   res.axis_out_pos = axis.out_pos;
@@ -296,13 +300,11 @@ ShardedResult ShardedExecutor::run_uniform(const TransposeProblem& problem,
   // capture there and keep the device's own (approximate) miss counts.
   const bool want_capture = functional || opts_.sampling == 0;
 
-  // Run one shard batch on device j: mirrors + one shared window plan
-  // + one windowed launch per shard, in shard order. `capture_tex` is
-  // false on failover retries — the retry plan's texture arrays land
-  // at new addresses, so replay equality no longer holds and the
-  // counters are only approximate from then on.
-  const auto run_batch = [&](int j, DeviceState<T>& st,
-                             bool capture_tex) -> Status {
+  // Run one shard batch on device j: mirrors + one windowed launch of
+  // the reference plan per shard, in shard order. A failover retry
+  // launches the same plan, so it replays the same texture addresses
+  // and its captured logs keep the fold exact.
+  const auto run_batch = [&](int j, DeviceState<T>& st) -> Status {
     return capture([&]() -> int {
              sim::Device& dev = fleet_.device(j);
              st.dev = &dev;
@@ -314,20 +316,18 @@ ShardedResult ShardedExecutor::run_uniform(const TransposeProblem& problem,
                st.in = dev.alloc_virtual<T>(problem.volume());
                st.out = dev.alloc_virtual<T>(problem.volume());
              }
-             st.plan = std::make_unique<Plan>(
-                 Plan::from_selection(dev, problem, sel));
              for (const int i : st.shard_ids) {
                auto& s = res.shards[static_cast<std::size_t>(i)];
                LaunchWindow win;
                win.offset = s.block_begin;
                win.count = s.block_count;
                win.tex_capture =
-                   capture_tex ? &tex_logs[static_cast<std::size_t>(i)]
-                               : nullptr;
+                   want_capture ? &tex_logs[static_cast<std::size_t>(i)]
+                                : nullptr;
                const MemberPair<T> member{st.in, st.out};
                const sim::LaunchResult r =
-                   st.plan->launch(LaunchDescriptor<T>{
-                       {&member, 1}, win, {alpha, beta}}).front();
+                   plan.launch(LaunchDescriptor<T>{
+                       {&member, 1}, win, {alpha, beta}, &dev}).front();
                s.counters = r.counters;
                s.exec_s = r.time_s;
              }
@@ -342,7 +342,7 @@ ShardedResult ShardedExecutor::run_uniform(const TransposeProblem& problem,
         auto& st = *states[static_cast<std::size_t>(j)];
         if (st.shard_ids.empty()) return;
         device_status[static_cast<std::size_t>(j)] =
-            run_batch(static_cast<int>(j), st, want_capture);
+            run_batch(static_cast<int>(j), st);
       });
   for (int j = 0; j < fleet_n; ++j) {
     if (!device_status[static_cast<std::size_t>(j)].is_ok()) continue;
@@ -352,9 +352,7 @@ ShardedResult ShardedExecutor::run_uniform(const TransposeProblem& problem,
   }
 
   // Failover round (serial): retry each failed batch on the next
-  // healthy devices in fleet order. Exact counter replay is forfeited
-  // for the retried shards; outputs stay exact.
-  bool any_failover = false;
+  // healthy devices in fleet order, recapturing its texture logs.
   for (int j = 0; j < fleet_n; ++j) {
     Status& st_j = device_status[static_cast<std::size_t>(j)];
     const std::vector<int> failed =
@@ -368,7 +366,7 @@ ShardedResult ShardedExecutor::run_uniform(const TransposeProblem& problem,
         retry->shard_ids = failed;
         for (const int i : failed)
           tex_logs[static_cast<std::size_t>(i)].clear();
-        if (run_batch(k, *retry, /*capture_tex=*/false).is_ok()) {
+        if (run_batch(k, *retry).is_ok()) {
           for (const int i : failed) {
             res.shards[static_cast<std::size_t>(i)].device = k;
             res.shards[static_cast<std::size_t>(i)].failed_over = true;
@@ -376,7 +374,6 @@ ShardedResult ShardedExecutor::run_uniform(const TransposeProblem& problem,
           }
           states.push_back(std::move(retry));
           st_j = Status::ok();
-          any_failover = true;
           telemetry::MetricsRegistry::global()
               .counter("shard.failovers")
               .inc();
@@ -392,18 +389,13 @@ ShardedResult ShardedExecutor::run_uniform(const TransposeProblem& problem,
   // Every shard succeeded: replay texture logs for exact tex_misses,
   // then (functional runs) merge each shard's output region runs.
   replay_tex_logs(tex_logs, res.shards);
-  res.counters_exact = !any_failover && (functional || opts_.sampling == 0);
+  res.counters_exact = want_capture;
   if (functional) {
     for (int i = 0; i < n; ++i) {
-      const auto& s = res.shards[static_cast<std::size_t>(i)];
       const DeviceState<T>* st = owner[static_cast<std::size_t>(i)];
       TTLG_CHECK(st != nullptr, "shard without an executed mirror");
-      ShardRange range;
-      range.block_begin = s.block_begin;
-      range.block_count = s.block_count;
-      range.dim_lo = s.dim_lo;
-      range.dim_hi = s.dim_hi;
-      const RegionRuns rr = region_runs(problem, axis, range);
+      const RegionRuns rr =
+          region_runs(problem, axis, ranges[static_cast<std::size_t>(i)]);
       for (Index c = 0; c < rr.count; ++c) {
         const Index off = rr.base + c * rr.period;
         std::memcpy(out->data() + off, st->out.data() + off,

@@ -3,13 +3,13 @@
 // into one super-grid dispatch must be BIT-IDENTICAL to N individual
 // execute() calls — per-member outputs, every per-member
 // LaunchCounters field, and the per-member simulated times — across
-// all kernel schemas, element widths, thread counts, pattern-cache
-// settings and epilogues (identity, alpha-only, alpha/beta); aggregate
-// counters must be exactly additive. Directed
-// tests pin the fallback ladder: a retryable fused failure re-runs the
-// per-member loop, and a mid-loop member failure's classified Status
-// names the failing member index and the completed count; and the
-// fault-site contract: every launch call rolls the launch site once.
+// all kernel schemas, element widths, thread counts and epilogues
+// (identity, alpha-only, alpha/beta); aggregate counters must be
+// exactly additive. Directed tests pin the fallback ladder: a
+// retryable fused failure re-runs the per-member loop, and a mid-loop
+// member failure's classified Status names the failing member index
+// and the completed count; and the fault-site contract: every launch
+// call rolls the launch site once.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -101,20 +101,18 @@ Epilogue<T> make_epilogue(Epi e) {
 /// through the fused engine, and demand bit-identity everywhere.
 template <class T>
 void run_battery(const Case& c, bool specialize, int nthreads,
-                 bool pattern_cache, Epi epi_kind = Epi::kIdentity) {
+                 Epi epi_kind = Epi::kIdentity) {
   const Shape shape(c.ext);
   const Permutation perm(c.perm);
   const Epilogue<T> epi = make_epilogue<T>(epi_kind);
   const std::string what =
       shape.to_string() + perm.to_string() + " w" +
       std::to_string(sizeof(T)) + " t" + std::to_string(nthreads) +
-      (pattern_cache ? " pc" : " nopc") +
       (specialize ? " spec" : " gen") + " epi" +
       std::to_string(static_cast<int>(epi_kind));
 
   sim::Device dev;
   dev.set_num_threads(nthreads);
-  dev.set_pattern_cache(pattern_cache);
 
   PlanOptions opts;
   opts.elem_size = static_cast<int>(sizeof(T));
@@ -206,26 +204,24 @@ class BatchedDifferential : public ::testing::TestWithParam<int> {};
 TEST_P(BatchedDifferential, FusedMatchesSinglesBitForBit) {
   const Case& c = schema_cases()[static_cast<std::size_t>(GetParam())];
   for (const bool specialize : {false, true})
-    for (const int nthreads : {1, 3, 8})
-      for (const bool pc : {false, true}) {
-        run_battery<std::uint8_t>(c, specialize, nthreads, pc);
-        run_battery<std::uint16_t>(c, specialize, nthreads, pc);
-        run_battery<float>(c, specialize, nthreads, pc);
-        run_battery<double>(c, specialize, nthreads, pc);
-      }
+    for (const int nthreads : {1, 3, 8}) {
+      run_battery<std::uint8_t>(c, specialize, nthreads);
+      run_battery<std::uint16_t>(c, specialize, nthreads);
+      run_battery<float>(c, specialize, nthreads);
+      run_battery<double>(c, specialize, nthreads);
+    }
 }
 
 TEST_P(BatchedDifferential, FusedEpiloguesMatchSinglesBitForBit) {
   const Case& c = schema_cases()[static_cast<std::size_t>(GetParam())];
   for (const Epi epi : {Epi::kAlphaOnly, Epi::kAlphaBeta})
     for (const bool specialize : {false, true})
-      for (const int nthreads : {1, 3, 8})
-        for (const bool pc : {false, true}) {
-          run_battery<std::uint8_t>(c, specialize, nthreads, pc, epi);
-          run_battery<std::uint16_t>(c, specialize, nthreads, pc, epi);
-          run_battery<float>(c, specialize, nthreads, pc, epi);
-          run_battery<double>(c, specialize, nthreads, pc, epi);
-        }
+      for (const int nthreads : {1, 3, 8}) {
+        run_battery<std::uint8_t>(c, specialize, nthreads, epi);
+        run_battery<std::uint16_t>(c, specialize, nthreads, epi);
+        run_battery<float>(c, specialize, nthreads, epi);
+        run_battery<double>(c, specialize, nthreads, epi);
+      }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllSchemas, BatchedDifferential,

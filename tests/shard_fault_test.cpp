@@ -9,6 +9,7 @@
 
 #include <cstring>
 #include <filesystem>
+#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -57,30 +58,47 @@ Expected<ShardedResult> run_sharded(Fleet& fleet, ShardOptions sopts,
 }
 
 TEST(ShardFault, TransientLaunchFaultFailsOverAndStaysCorrect) {
-  Buffers b = make_buffers();
-  Fleet fleet = Fleet::homogeneous(3);
-  auto& reg = telemetry::MetricsRegistry::global();
-  const auto failovers_before = reg.counter_value("shard.failovers");
-  const auto bytes_before = device_bytes(fleet);
+  ShardOptions sopts;
+  sopts.num_shards = 3;
+  // The fault-free fold the failed-over runs must reproduce.
+  Buffers clean = make_buffers();
+  Fleet clean_fleet = Fleet::homogeneous(3);
+  const Expected<ShardedResult> ref = run_sharded(clean_fleet, sopts, clean);
+  ASSERT_TRUE(ref.has_value()) << ref.status().message();
+  const std::string ref_fold = ref->counters().total().to_json().dump();
 
-  Expected<ShardedResult> res = [&] {
-    // One launch fault in the whole process: exactly one shard batch
-    // fails, and the failover round must re-run it elsewhere.
-    sim::ScopedFaults faults("seed=3,launch.nth=1");
-    return run_sharded(fleet, ShardOptions{.num_shards = 3}, b);
-  }();
+  // One launch fault in the whole process: exactly one shard batch
+  // fails, and the failover round must re-run it elsewhere — whichever
+  // launch of the run the fault hits.
+  for (const char* spec : {"seed=3,launch.nth=1", "seed=3,launch.nth=2",
+                           "seed=3,launch.nth=3"}) {
+    Buffers b = make_buffers();
+    Fleet fleet = Fleet::homogeneous(3);
+    auto& reg = telemetry::MetricsRegistry::global();
+    const auto failovers_before = reg.counter_value("shard.failovers");
+    const auto bytes_before = device_bytes(fleet);
 
-  ASSERT_TRUE(res.has_value()) << res.status().message();
-  EXPECT_EQ(0, std::memcmp(b.out.data(), b.expected.data(),
-                           b.out.size() * sizeof(double)));
-  int failed_over = 0;
-  for (const auto& s : res->shards) failed_over += s.failed_over ? 1 : 0;
-  EXPECT_GE(failed_over, 1);
-  EXPECT_FALSE(res->counters_exact)
-      << "failover forfeits the exact-counters guarantee";
-  EXPECT_EQ(reg.counter_value("shard.failovers"), failovers_before + 1);
-  EXPECT_EQ(device_bytes(fleet), bytes_before)
-      << "failed-over run left device memory behind";
+    Expected<ShardedResult> res = [&] {
+      sim::ScopedFaults faults(spec);
+      return run_sharded(fleet, sopts, b);
+    }();
+
+    ASSERT_TRUE(res.has_value()) << spec << ": " << res.status().message();
+    EXPECT_EQ(0, std::memcmp(b.out.data(), b.expected.data(),
+                             b.out.size() * sizeof(double)))
+        << spec;
+    int failed_over = 0;
+    for (const auto& s : res->shards) failed_over += s.failed_over ? 1 : 0;
+    EXPECT_GE(failed_over, 1) << spec;
+    // The retry launches the same reference plan, so the fold stays
+    // exact: it equals the fault-free run's.
+    EXPECT_TRUE(res->counters_exact) << spec;
+    EXPECT_EQ(res->counters().total().to_json().dump(), ref_fold) << spec;
+    EXPECT_EQ(reg.counter_value("shard.failovers"), failovers_before + 1)
+        << spec;
+    EXPECT_EQ(device_bytes(fleet), bytes_before)
+        << spec << ": failed-over run left device memory behind";
+  }
 }
 
 TEST(ShardFault, PersistentLaunchFaultFailsClassifiedWithPostMortem) {
@@ -101,7 +119,9 @@ TEST(ShardFault, PersistentLaunchFaultFailsClassifiedWithPostMortem) {
 
   Expected<ShardedResult> res = [&] {
     sim::ScopedFaults faults("launch.every=1");  // no device can launch
-    return run_sharded(fleet, ShardOptions{.num_shards = 2}, b);
+    ShardOptions sopts;
+    sopts.num_shards = 2;
+    return run_sharded(fleet, sopts, b);
   }();
   fr.set_dump_dir("");
   fr.set_enabled(was_on);
@@ -142,7 +162,9 @@ TEST(ShardFault, SingleDeviceFleetCannotFailOver) {
   Fleet fleet = Fleet::homogeneous(1);
   Expected<ShardedResult> res = [&] {
     sim::ScopedFaults faults("seed=5,launch.nth=1");
-    return run_sharded(fleet, ShardOptions{.num_shards = 1}, b);
+    ShardOptions sopts;
+    sopts.num_shards = 1;
+    return run_sharded(fleet, sopts, b);
   }();
   ASSERT_FALSE(res.has_value());
   EXPECT_EQ(res.status().code(), ErrorCode::kFaultInjected);
@@ -176,8 +198,13 @@ TEST(ShardFault, AllocFaultDuringMirroringIsClassified) {
   Fleet fleet = Fleet::homogeneous(2);
   const auto bytes_before = device_bytes(fleet);
   Expected<ShardedResult> res = [&] {
-    sim::ScopedFaults faults("alloc.every=1");  // no mirror can be staged
-    return run_sharded(fleet, ShardOptions{.num_shards = 2}, b);
+    // No allocation succeeds: the reference plan's offset upload fails
+    // first, and without a fallback ladder the run fails with that
+    // (retryable) code instead of running a degraded plan.
+    sim::ScopedFaults faults("alloc.every=1");
+    ShardOptions sopts;
+    sopts.num_shards = 2;
+    return run_sharded(fleet, sopts, b);
   }();
   ASSERT_FALSE(res.has_value());
   // Alloc-site faults surface with device-OOM semantics.

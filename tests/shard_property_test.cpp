@@ -13,11 +13,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "core/ttlg.hpp"
 #include "shard/sharded_executor.hpp"
+#include "telemetry/metrics.hpp"
 
 namespace ttlg::shard {
 namespace {
@@ -34,11 +36,14 @@ const std::vector<std::pair<Extents, std::vector<Index>>>& schema_cases() {
   return cases;
 }
 
-/// Unsharded reference counters, produced with the IDENTICAL pinned
-/// selection and the identical allocation order (in mirror, out
-/// mirror, then the plan's texture arrays) the sharded executor uses
-/// on each fresh fleet device — the precondition for texture-miss
-/// equality (docs/sharding.md).
+/// Unsharded reference counters of the selection the sharded executor
+/// plans on its reference device, run by the generic kernel. The
+/// executor allocates that plan's texture arrays BEFORE its mirrors,
+/// this reference after them: every allocation is 256-byte aligned,
+/// and texture misses and DRAM transactions do not change when all
+/// bases shift by a multiple of 256 bytes (32-byte lines, a
+/// direct-mapped texture cache, 128-byte transactions), so the order
+/// does not matter (docs/sharding.md).
 sim::LaunchCounters reference_counters(const Shape& shape,
                                        const Permutation& perm,
                                        const std::vector<double>& in_host,
@@ -71,25 +76,79 @@ TEST(ShardCounterAdditivity, SumsExactlyToUnshardedForEverySchema) {
     const sim::LaunchCounters ref =
         reference_counters(shape, perm, in_host, out_host);
 
-    for (int n : {1, 2, 3, 4, 7}) {
-      Fleet fleet = Fleet::homogeneous(n);  // FRESH devices per run
-      ShardOptions sopts;
-      sopts.num_shards = n;
-      ShardedExecutor ex(fleet, sopts);
-      std::vector<double> out = out_host;
-      auto res = ex.run<double>(
-          shape, perm,
-          std::span<const double>(in_host.data(), in_host.size()),
-          std::span<double>(out.data(), out.size()));
-      ASSERT_TRUE(res.has_value()) << res.status().message();
-      EXPECT_TRUE(res->counters_exact);
-      const sim::LaunchCounters total = res->counters().total();
-      EXPECT_EQ(total.to_json().dump(), ref.to_json().dump())
-          << shape.to_string() << perm.to_string() << " at " << n
-          << " shards (" << res->shards.size() << " executed)";
-      // The fold's additive grid size must cover the full grid.
-      EXPECT_EQ(total.grid_blocks, ref.grid_blocks);
+    // Specialized windows (the default) and the generic window body,
+    // which only runs when specialization is off.
+    for (const bool specialize : {true, false}) {
+      for (int n : {1, 2, 3, 4, 7}) {
+        Fleet fleet = Fleet::homogeneous(n);
+        ShardOptions sopts;
+        sopts.num_shards = n;
+        sopts.plan.specialize = specialize;
+        ShardedExecutor ex(fleet, sopts);
+        std::vector<double> out = out_host;
+        auto res = ex.run<double>(
+            shape, perm,
+            std::span<const double>(in_host.data(), in_host.size()),
+            std::span<double>(out.data(), out.size()));
+        ASSERT_TRUE(res.has_value()) << res.status().message();
+        EXPECT_TRUE(res->counters_exact);
+        const sim::LaunchCounters total = res->counters().total();
+        EXPECT_EQ(total.to_json().dump(), ref.to_json().dump())
+            << shape.to_string() << perm.to_string() << " at " << n
+            << " shards (" << res->shards.size() << " executed), "
+            << (specialize ? "specialized" : "generic");
+        // The fold's additive grid size must cover the full grid.
+        EXPECT_EQ(total.grid_blocks, ref.grid_blocks);
+      }
     }
+  }
+}
+
+TEST(ShardUniformPlan, EachRunPlansOnceAtASpecializedTier) {
+  // A uniform run makes ONE plan, on the reference device, and it is
+  // specialized like any make_plan plan: the always-on tier counters
+  // rise by exactly one per run, functional and count-only alike, and
+  // never at the generic tier.
+  auto& reg = telemetry::MetricsRegistry::global();
+  const auto tier_counts = [&reg] {
+    std::vector<std::int64_t> v;
+    for (const SpecTier t : {SpecTier::kGeneric, SpecTier::kStrideProgram,
+                             SpecTier::kAffineBulk})
+      v.push_back(reg.counter_value(std::string("plan.specialization_tier.") +
+                                    to_string(t)));
+    return v;
+  };
+  const auto expect_one_specialized_plan =
+      [&](const std::vector<std::int64_t>& before, const std::string& what) {
+        const std::vector<std::int64_t> after = tier_counts();
+        EXPECT_EQ(after[0], before[0]) << what << ": a generic plan";
+        EXPECT_EQ((after[1] - before[1]) + (after[2] - before[2]), 1)
+            << what << ": specialized plans per run";
+      };
+  Rng rng(13);
+  for (const auto& [ext, perm_v] : schema_cases()) {
+    const Shape shape(ext);
+    const Permutation perm(perm_v);
+    const std::string what = shape.to_string() + perm.to_string();
+    std::vector<double> in_host(static_cast<std::size_t>(shape.volume()));
+    for (auto& x : in_host) x = rng.uniform01();
+    std::vector<double> out(in_host.size(), 0.0);
+    Fleet fleet = Fleet::homogeneous(3);
+    ShardOptions sopts;
+    sopts.num_shards = 3;
+    ShardedExecutor ex(fleet, sopts);
+
+    std::vector<std::int64_t> before = tier_counts();
+    auto fres = ex.run<double>(
+        shape, perm, std::span<const double>(in_host.data(), in_host.size()),
+        std::span<double>(out.data(), out.size()));
+    ASSERT_TRUE(fres.has_value()) << fres.status().message();
+    expect_one_specialized_plan(before, what + " functional");
+
+    before = tier_counts();
+    auto cres = ex.run_count_only(shape, perm, sizeof(double));
+    ASSERT_TRUE(cres.has_value()) << cres.status().message();
+    expect_one_specialized_plan(before, what + " count-only");
   }
 }
 
@@ -103,8 +162,8 @@ TEST(ShardCounterAdditivity, CountOnlyRunsMatchFunctionalCounters) {
   std::vector<double> out_host(static_cast<std::size_t>(shape.volume()));
   for (auto& x : in_host) x = rng.uniform01();
 
-  // Both runs release their per-device mirrors and window plans:
-  // every device ends with the bytes it started with.
+  // Both runs release their per-device mirrors and the reference
+  // plan: every device ends with the bytes it started with.
   const auto expect_no_retained_bytes = [](Fleet& fleet, const char* what) {
     for (int d = 0; d < fleet.size(); ++d)
       EXPECT_EQ(fleet.device(d).bytes_allocated(), 0)
@@ -136,15 +195,11 @@ TEST(ShardCounterAdditivity, CountOnlyRunsMatchFunctionalCounters) {
 /// Pins the partition invariants for one problem at every shard count
 /// up to past the axis extent.
 void check_partition(const Shape& shape, const Permutation& perm) {
-  sim::Device probe;  // descriptor source only
-  const TransposeProblem problem =
-      TransposeProblem::make(shape, perm, sizeof(double));
-  PlanOptions popts;
-  popts.elem_size = sizeof(double);
-  const PerfModel model(probe.props(), popts.model);
-  const KernelSelection sel = select_kernel(problem, model, popts);
-  const ShardAxis axis = find_shard_axis(problem, sel);
-  const Index grid_blocks = selection_grid_blocks(sel);
+  sim::Device probe;
+  const Plan plan = make_plan(probe, shape, perm);
+  const TransposeProblem& problem = plan.problem();
+  const ShardAxis axis = find_shard_axis(problem, plan.selection());
+  const Index grid_blocks = plan.grid_blocks();
 
   for (int n = 1; n <= 9; ++n) {
     const std::vector<ShardRange> ranges =

@@ -1,14 +1,13 @@
 // Plan-time kernel specialization (core/stride_program.hpp): the
 // compiled stride-program and affine-bulk tiers must be
 // BIT-IDENTICAL to the generic kernels — outputs, every LaunchCounters
-// field, and the simulated time — at every element width, thread count,
-// pattern-cache setting and epilogue (identity, alpha-only, alpha/beta),
-// including awkward prime and size-1 extents. A separate set of
-// directed tests pins that the tiers actually ENGAGE (a compiler that
-// rejected everything would pass the differential battery trivially on
-// the generic path), beta launches included, that the tier survives a
-// plan-file round trip, and that a corrupted tier record is classified
-// kDataLoss.
+// field, and the simulated time — at every element width, thread count
+// and epilogue (identity, alpha-only, alpha/beta), including awkward
+// prime and size-1 extents. A separate set of directed tests pins that
+// the tiers actually ENGAGE (a compiler that rejected everything would
+// pass the differential battery trivially on the generic path), beta
+// launches included, that the tier survives a plan-file round trip, and
+// that a corrupted tier record is classified kDataLoss.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -78,11 +77,10 @@ Epilogue<T> make_epilogue(Epi e) {
 
 template <class T>
 Artifacts run_once(const Shape& shape, const Permutation& perm,
-                   bool specialize, int nthreads, bool pattern_cache,
+                   bool specialize, int nthreads,
                    Epi epi_kind = Epi::kIdentity) {
   sim::Device dev;
   dev.set_num_threads(nthreads);
-  dev.set_pattern_cache(pattern_cache);
   Tensor<T> host(shape);
   Rng rng(911);
   fill_random_elems(rng, host.vec());
@@ -194,18 +192,14 @@ const std::vector<Case>& awkward_cases() {
 /// strongest tier the launch ran at: the plan's tier, or for beta
 /// launches the tier of its blend program.
 template <class T>
-void run_battery(const Case& c, int nthreads, bool pattern_cache,
-                 SpecTier* engaged, Epi epi) {
+void run_battery(const Case& c, int nthreads, SpecTier* engaged, Epi epi) {
   const Shape shape(c.ext);
   const Permutation perm(c.perm);
-  const std::string what =
-      shape.to_string() + perm.to_string() + " w" +
-      std::to_string(sizeof(T)) + " t" + std::to_string(nthreads) +
-      (pattern_cache ? " pc " : " nopc ") + to_string(epi);
-  const Artifacts gen = run_once<T>(shape, perm, false, nthreads,
-                                    pattern_cache, epi);
-  const Artifacts spec = run_once<T>(shape, perm, true, nthreads,
-                                     pattern_cache, epi);
+  const std::string what = shape.to_string() + perm.to_string() + " w" +
+                           std::to_string(sizeof(T)) + " t" +
+                           std::to_string(nthreads) + " " + to_string(epi);
+  const Artifacts gen = run_once<T>(shape, perm, false, nthreads, epi);
+  const Artifacts spec = run_once<T>(shape, perm, true, nthreads, epi);
   EXPECT_EQ(gen.tier, SpecTier::kGeneric) << what;
   EXPECT_EQ(gen.blend_tier, SpecTier::kGeneric) << what;
   // A specialized plan runs its beta launches on the blend program.
@@ -218,29 +212,25 @@ void run_battery(const Case& c, int nthreads, bool pattern_cache,
 }
 
 void run_battery_sized(const Case& c, int elem_size, int nthreads,
-                       bool pattern_cache, SpecTier* engaged,
-                       Epi epi = Epi::kIdentity) {
+                       SpecTier* engaged, Epi epi = Epi::kIdentity) {
   switch (elem_size) {
     case 1:
-      return run_battery<std::uint8_t>(c, nthreads, pattern_cache, engaged,
-                                       epi);
+      return run_battery<std::uint8_t>(c, nthreads, engaged, epi);
     case 2:
-      return run_battery<std::uint16_t>(c, nthreads, pattern_cache, engaged,
-                                        epi);
+      return run_battery<std::uint16_t>(c, nthreads, engaged, epi);
     case 4:
-      return run_battery<float>(c, nthreads, pattern_cache, engaged, epi);
+      return run_battery<float>(c, nthreads, engaged, epi);
     default:
-      return run_battery<double>(c, nthreads, pattern_cache, engaged, epi);
+      return run_battery<double>(c, nthreads, engaged, epi);
   }
 }
 
-TEST(Specialization, BitIdenticalAcrossSchemasWidthsThreadsAndCache) {
+TEST(Specialization, BitIdenticalAcrossSchemasWidthsAndThreads) {
   for (const Case& c : schema_cases()) {
     SpecTier engaged = SpecTier::kGeneric;
     for (int elem_size : {1, 2, 4, 8})
       for (int nthreads : {1, 4})
-        for (bool pc : {true, false})
-          run_battery_sized(c, elem_size, nthreads, pc, &engaged);
+        run_battery_sized(c, elem_size, nthreads, &engaged);
     // The differential is only meaningful if the specialized path
     // actually ran: every directed schema case must compile to a
     // non-generic tier.
@@ -253,17 +243,16 @@ TEST(Specialization, BitIdenticalOnPrimeAndUnitExtents) {
   for (const Case& c : awkward_cases())
     for (int elem_size : {1, 8})
       for (int nthreads : {1, 4})
-        run_battery_sized(c, elem_size, nthreads, true, nullptr);
+        run_battery_sized(c, elem_size, nthreads, nullptr);
 }
 
-TEST(Specialization, EpiloguesBitIdenticalAcrossSchemasWidthsThreadsAndCache) {
+TEST(Specialization, EpiloguesBitIdenticalAcrossSchemasWidthsAndThreads) {
   for (const Case& c : schema_cases())
     for (const Epi epi : {Epi::kAlphaOnly, Epi::kAlphaBeta}) {
       SpecTier engaged = SpecTier::kGeneric;
       for (int elem_size : {1, 2, 4, 8})
         for (int nthreads : {1, 4})
-          for (bool pc : {true, false})
-            run_battery_sized(c, elem_size, nthreads, pc, &engaged, epi);
+          run_battery_sized(c, elem_size, nthreads, &engaged, epi);
       // Beta launches must have run the blend program, not fallen back
       // to the generic kernels.
       EXPECT_NE(engaged, SpecTier::kGeneric)
@@ -277,8 +266,7 @@ TEST(Specialization, EpiloguesBitIdenticalOnPrimeAndUnitExtents) {
     for (const Epi epi : {Epi::kAlphaOnly, Epi::kAlphaBeta})
       for (int elem_size : {1, 2, 4, 8})
         for (int nthreads : {1, 4})
-          for (bool pc : {true, false})
-            run_battery_sized(c, elem_size, nthreads, pc, nullptr, epi);
+          run_battery_sized(c, elem_size, nthreads, nullptr, epi);
 }
 
 TEST(Specialization, BlendProgramIsBuiltOnTheFirstBetaLaunchOnly) {
